@@ -439,8 +439,8 @@ func BenchmarkDomainedCell(b *testing.B) {
 // BenchmarkNFSDomainCreate measures the real-time cost of one simulated
 // create on the domained NFS filer (client domain + filer domain via
 // the shared service runtime, 4 concurrent client processes): the
-// cross-domain RPC path — CallDom rendezvous, reply-leg cache fills —
-// on top of the BenchmarkSimulatedCreate path, gated alongside
+// cross-domain RPC path — the Call rendezvous, cache fills applied
+// from the reply — on top of the BenchmarkSimulatedCreate path, gated alongside
 // BenchmarkDomainCreate.
 func BenchmarkNFSDomainCreate(b *testing.B) {
 	k := sim.New(1)

@@ -218,45 +218,113 @@ type client struct {
 	p       *sim.Proc
 	nextFH  fs.Handle
 	handles map[fs.Handle]*openFile
+	// r is the client's one in-flight RPC, reused (a client issues one
+	// synchronous RPC at a time).
+	r req
 }
 
-// modify runs one namespace-changing RPC against the volume server.
-func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc, v *volume, sub string) error) error {
+// req is one RPC to a volume server; Serve runs it there and writes the
+// results back.
+type req struct {
+	fsys *FS
+	op   fs.OpKind
+	v    *volume
+	// path and other are in-volume paths (other: see namespace.Apply).
+	path, other string
+	svc         time.Duration
+	// written is the byte count a store (OpClose, OpFsync) writes back;
+	// only a close pays its transfer.
+	written int64
+
+	err  error
+	attr fs.Attr
+	ents []fs.DirEntry
+}
+
+// Serve runs the operation at the volume server.
+func (r *req) Serve(sp *sim.Proc) {
+	f, v := r.fsys, r.v
+	switch r.op {
+	case fs.OpStat:
+		sp.Sleep(f.cfg.FetchService)
+		f.rpcs++
+		r.attr, r.err = v.ns.Stat(r.path)
+		return
+	case fs.OpReadDir:
+		r.ents, r.err = v.ns.ReadDir(r.path, sp.Now())
+		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(r.ents))*time.Microsecond)
+		f.rpcs++
+		return
+	}
+	if dir, lerr := v.ns.Lookup(fs.ParentDir(r.path)); lerr == nil {
+		lock := v.dirLock(f.k, dir.Ino)
+		lock.Lock(sp)
+		defer lock.Unlock()
+		sp.Sleep(time.Duration(float64(r.svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
+	} else {
+		sp.Sleep(r.svc)
+	}
+	f.rpcs++
+	r.err = r.apply(sp)
+}
+
+// apply makes a namespace change or stores file data, breaking the
+// callbacks of every changed file.
+func (r *req) apply(sp *sim.Proc) error {
+	v, cost := r.v, r.fsys.cfg.CallbackBreakCost
+	switch r.op {
+	case fs.OpClose, fs.OpFsync:
+		node, err := v.ns.Lookup(r.path)
+		if err != nil {
+			return err
+		}
+		if r.op == fs.OpClose {
+			sp.Sleep(time.Duration(float64(r.written) / float64(40<<20) * float64(time.Second)))
+		}
+		v.ns.SetSize(node.Ino, node.Size+r.written, sp.Now())
+		v.bump(sp, cost, r.path)
+		return nil
+	}
+	if err := v.ns.Apply(r.op, r.path, r.other, sp.Now()); err != nil {
+		return err
+	}
+	switch r.op {
+	case fs.OpCreate, fs.OpUnlink:
+		v.bump(sp, cost, r.path)
+	case fs.OpRename:
+		v.bump(sp, cost, r.path, r.other)
+	}
+	return nil
+}
+
+// modify runs one namespace-changing (or data-storing) RPC against the
+// volume server; name labels its errors.
+func (c *client) modify(name, p string, r req) error {
 	f := c.fsys
 	c.node.Syscall(c.p)
-	v, sub, err := f.resolve(op, p)
+	v, sub, err := f.resolve(name, p)
 	if err != nil {
 		return err
 	}
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
-	f.conn(c.node, v.server).Call(c.p, 200, 160, func(sp *sim.Proc) {
-		if dir, lerr := v.ns.Lookup(fs.ParentDir(sub)); lerr == nil {
-			lock := v.dirLock(f.k, dir.Ino)
-			lock.Lock(sp)
-			defer lock.Unlock()
-			sp.Sleep(time.Duration(float64(svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
-		} else {
-			sp.Sleep(svc)
-		}
-		f.rpcs++
-		err = apply(sp, v, sub)
-	})
-	return err
+	r.v, r.path = v, sub
+	return c.call(r, 200, 160).err
+}
+
+// call issues r to its volume's server.
+func (c *client) call(r req, reqBytes, respBytes int64) *req {
+	c.r = r
+	c.r.fsys = c.fsys
+	c.fsys.conn(c.node, r.v.server).Call(c.p, reqBytes, respBytes, &c.r)
+	return &c.r
 }
 
 // Create stores the new file on the volume server (open-to-close: the
 // server sees it immediately) and installs a callback-backed cache entry.
 func (c *client) Create(p string) error {
-	err := c.modify("create", p, c.fsys.cfg.CreateService, func(sp *sim.Proc, v *volume, sub string) error {
-		if _, e := v.ns.Create(sub, 0o644, sp.Now()); e != nil {
-			return e
-		}
-		v.bump(sp, c.fsys.cfg.CallbackBreakCost, sub)
-		return nil
-	})
-	if err != nil {
+	if err := c.modify("create", p, req{op: fs.OpCreate, svc: c.fsys.cfg.CreateService}); err != nil {
 		return err
 	}
 	v, sub, _ := c.fsys.resolve("create", p)
@@ -289,16 +357,7 @@ func (c *client) Close(h fs.Handle) error {
 	if !of.dirty {
 		return nil
 	}
-	return c.modify("store", of.path, c.fsys.cfg.CreateService/2, func(sp *sim.Proc, v *volume, sub string) error {
-		node, err := v.ns.Lookup(sub)
-		if err != nil {
-			return err
-		}
-		sp.Sleep(time.Duration(float64(of.written) / float64(40<<20) * float64(time.Second)))
-		v.ns.SetSize(node.Ino, node.Size+of.written, sp.Now())
-		v.bump(sp, c.fsys.cfg.CallbackBreakCost, sub)
-		return nil
-	})
+	return c.modify("store", of.path, req{op: fs.OpClose, svc: c.fsys.cfg.CreateService / 2, written: of.written})
 }
 
 // Write buffers into the local AFS cache until close.
@@ -324,41 +383,22 @@ func (c *client) Fsync(h fs.Handle) error {
 		return nil
 	}
 	of.dirty = false
-	return c.modify("store", of.path, c.fsys.cfg.CreateService/2, func(sp *sim.Proc, v *volume, sub string) error {
-		node, err := v.ns.Lookup(sub)
-		if err != nil {
-			return err
-		}
-		v.ns.SetSize(node.Ino, node.Size+of.written, sp.Now())
-		v.bump(sp, c.fsys.cfg.CallbackBreakCost, sub)
-		return nil
-	})
+	return c.modify("store", of.path, req{op: fs.OpFsync, svc: c.fsys.cfg.CreateService / 2, written: of.written})
 }
 
 // Mkdir creates a directory on the volume server.
 func (c *client) Mkdir(p string) error {
-	return c.modify("mkdir", p, c.fsys.cfg.MkdirService, func(sp *sim.Proc, v *volume, sub string) error {
-		_, e := v.ns.Mkdir(sub, 0o755, sp.Now())
-		return e
-	})
+	return c.modify("mkdir", p, req{op: fs.OpMkdir, svc: c.fsys.cfg.MkdirService})
 }
 
 // Rmdir removes a directory.
 func (c *client) Rmdir(p string) error {
-	return c.modify("rmdir", p, c.fsys.cfg.RemoveService, func(sp *sim.Proc, v *volume, sub string) error {
-		return v.ns.Rmdir(sub, sp.Now())
-	})
+	return c.modify("rmdir", p, req{op: fs.OpRmdir, svc: c.fsys.cfg.RemoveService})
 }
 
 // Unlink removes a file and breaks callbacks.
 func (c *client) Unlink(p string) error {
-	err := c.modify("unlink", p, c.fsys.cfg.RemoveService, func(sp *sim.Proc, v *volume, sub string) error {
-		if e := v.ns.Unlink(sub, sp.Now()); e != nil {
-			return e
-		}
-		v.bump(sp, c.fsys.cfg.CallbackBreakCost, sub)
-		return nil
-	})
+	err := c.modify("unlink", p, req{op: fs.OpUnlink, svc: c.fsys.cfg.RemoveService})
 	if err == nil {
 		delete(c.fsys.cache(c.node).attrs, p)
 	}
@@ -369,7 +409,7 @@ func (c *client) Unlink(p string) error {
 // exactly like the sub-namespace case discussed in §2.6.3.
 func (c *client) Rename(oldPath, newPath string) error {
 	f := c.fsys
-	vOld, subOld, err := f.resolve("rename", oldPath)
+	vOld, _, err := f.resolve("rename", oldPath)
 	if err != nil {
 		return err
 	}
@@ -380,13 +420,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 	if vOld != vNew {
 		return fs.NewError("rename", newPath, fs.EXDEV)
 	}
-	return c.modify("rename", oldPath, f.cfg.RenameService, func(sp *sim.Proc, v *volume, _ string) error {
-		if e := v.ns.Rename(subOld, subNew, sp.Now()); e != nil {
-			return e
-		}
-		v.bump(sp, f.cfg.CallbackBreakCost, subOld, subNew)
-		return nil
-	})
+	return c.modify("rename", oldPath, req{op: fs.OpRename, other: subNew, svc: f.cfg.RenameService})
 }
 
 // Link creates a hardlink within one volume.
@@ -396,25 +430,20 @@ func (c *client) Link(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	vNew, subNew, err := f.resolve("link", newPath)
+	vNew, _, err := f.resolve("link", newPath)
 	if err != nil {
 		return err
 	}
 	if vOld != vNew {
 		return fs.NewError("link", newPath, fs.EXDEV)
 	}
-	return c.modify("link", newPath, f.cfg.CreateService, func(sp *sim.Proc, v *volume, _ string) error {
-		return v.ns.Link(subOld, subNew, sp.Now())
-	})
+	return c.modify("link", newPath, req{op: fs.OpLink, other: subOld, svc: f.cfg.CreateService})
 }
 
 // Symlink creates a symbolic link on the volume server. Unlike hardlinks
 // the target is a free-form path, so no EXDEV applies.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.modify("symlink", linkPath, c.fsys.cfg.CreateService, func(sp *sim.Proc, v *volume, sub string) error {
-		_, e := v.ns.Symlink(target, sub, sp.Now())
-		return e
-	})
+	return c.modify("symlink", linkPath, req{op: fs.OpSymlink, other: target, svc: c.fsys.cfg.CreateService})
 }
 
 // Stat serves from the persistent cache while the callback is intact;
@@ -432,17 +461,12 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 		return e.attr, nil
 	}
 	nc.miss++
-	var a fs.Attr
-	f.conn(c.node, v.server).Call(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(f.cfg.FetchService)
-		f.rpcs++
-		a, err = v.ns.Stat(sub)
-	})
-	if err != nil {
-		return fs.Attr{}, err
+	r := c.call(req{op: fs.OpStat, v: v, path: sub}, 150, 170)
+	if r.err != nil {
+		return fs.Attr{}, r.err
 	}
-	nc.attrs[p] = cachedAttr{attr: a, version: v.version[sub]}
-	return a, nil
+	nc.attrs[p] = cachedAttr{attr: r.attr, version: v.version[sub]}
+	return r.attr, nil
 }
 
 // ReadDir fetches the directory from the volume server.
@@ -453,13 +477,10 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ents []fs.DirEntry
-	f.conn(c.node, v.server).Call(c.p, 150, 400, func(sp *sim.Proc) {
-		ents, err = v.ns.ReadDir(sub, sp.Now())
-		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(ents))*time.Microsecond)
-		f.rpcs++
-	})
-	return ents, err
+	r := c.call(req{op: fs.OpReadDir, v: v, path: sub}, 150, 400)
+	ents := r.ents
+	r.ents = nil // the caller owns the slice
+	return ents, r.err
 }
 
 // DropCaches is a no-op: the AFS cache is persistent on the client's

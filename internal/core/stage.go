@@ -56,7 +56,12 @@ type StageRunner struct {
 	Prepare func(c *Ctx) error
 	// Aux, when set, is sampled at every interval boundary; the
 	// per-interval delta lands in IntervalStat.Aux. The experiments
-	// pass a closure over the FS's injected-background counter.
+	// pass a closure over the FS's injected-background counter. When
+	// the kernel belongs to a domain group, server domains bump that
+	// counter concurrently with the master, so each sample is taken in
+	// a sync function at its instant (sim.DomainGroup.AtSync), with
+	// every domain parked there; the stage's starting sample then lands
+	// one lookahead after the stage starts.
 	Aux func() int64
 }
 
@@ -202,6 +207,13 @@ func (r *StageRunner) Start(k *sim.Kernel) (*results.Set, error) {
 	}
 
 	k.Spawn("stage-master", func(mp *sim.Proc) {
+		// syncAux, under a domain group, reads Aux into *dst in a sync
+		// function at virtual time at (clamped to one lookahead ahead),
+		// done before the master next wakes after at.
+		g := k.Group()
+		syncAux := func(at time.Duration, dst *int64) {
+			g.AtSync(mp, at, func() { *dst = r.Aux() })
+		}
 		base := make([]int64, probes)
 		prev := make([]int64, probes)
 		rates := make([]float64, probes)
@@ -218,13 +230,20 @@ func (r *StageRunner) Start(k *sim.Kernel) (*results.Set, error) {
 			shared.agg = &results.Histogram{}
 			shared.cur = &results.Histogram{}
 			shared.recording = true
-			var prevAux int64
-			if r.Aux != nil {
+			var prevAux, aux int64
+			switch {
+			case r.Aux == nil:
+			case g != nil:
+				syncAux(mp.Now(), &prevAux)
+			default:
 				prevAux = r.Aux()
 			}
 			copy(prev, base)
 			barrier.Wait(mp) // stage start: probes run from here
 			for t := 0; t < nIv; t++ {
+				if r.Aux != nil && g != nil {
+					syncAux(mp.Now()+interval, &aux)
+				}
 				mp.Sleep(interval)
 				var ops int64
 				for i, ctx := range ctxs {
@@ -242,7 +261,9 @@ func (r *StageRunner) Start(k *sim.Kernel) (*results.Set, error) {
 				}
 				_, st.COV = stddevCOV(rates)
 				if r.Aux != nil {
-					aux := r.Aux()
+					if g == nil {
+						aux = r.Aux()
+					}
 					st.Aux = aux - prevAux
 					prevAux = aux
 				}

@@ -140,11 +140,58 @@ type client struct {
 	p       *sim.Proc
 	nextFH  fs.Handle
 	handles map[fs.Handle]string
+	// r is the client's one in-flight metadata RPC, reused (a client
+	// issues one synchronous RPC at a time).
+	r req
+}
+
+// req is one delegated metadata operation; Serve runs it at the MDS and
+// writes the results back.
+type req struct {
+	fsys        *FS
+	op          fs.OpKind
+	path, other string // other: see namespace.Apply
+	svc         time.Duration
+
+	err  error
+	attr fs.Attr
+	ents []fs.DirEntry
+}
+
+// Serve charges the operation's service time — scaled by the parent
+// directory's size, under its lock, for namespace changes — and runs it.
+func (r *req) Serve(sp *sim.Proc) {
+	f := r.fsys
+	switch r.op {
+	case fs.OpStat, fs.OpReadDir:
+		sp.Sleep(r.svc)
+	default:
+		if dir, lerr := f.ns.Lookup(fs.ParentDir(r.path)); lerr == nil {
+			lock := f.dirLock(dir.Ino)
+			lock.Lock(sp)
+			defer lock.Unlock()
+			sp.Sleep(time.Duration(float64(r.svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
+		} else {
+			sp.Sleep(r.svc)
+		}
+	}
+	f.rpcs++
+	switch r.op {
+	case fs.OpStat:
+		r.attr, r.err = f.ns.Stat(r.path)
+	case fs.OpReadDir:
+		r.ents, r.err = f.ns.ReadDir(r.path, sp.Now())
+		if r.err == nil {
+			sp.Sleep(time.Duration(len(r.ents)) * time.Microsecond)
+		}
+	default:
+		r.err = f.ns.Apply(r.op, r.path, r.other, sp.Now())
+	}
 }
 
 // metaOp runs one delegated metadata operation: per-node token, RPC to
 // the central MDS, directory-size scaled service, namespace change.
-func (c *client) metaOp(p string, svc time.Duration, useDirCost bool, apply func(sp *sim.Proc) error) error {
+func (c *client) metaOp(op fs.OpKind, p, other string, svc time.Duration) *req {
 	f := c.fsys
 	c.node.Syscall(c.p)
 	if f.cfg.TokenSerialization {
@@ -152,32 +199,14 @@ func (c *client) metaOp(p string, svc time.Duration, useDirCost bool, apply func
 		tok.Lock(c.p)
 		defer tok.Unlock()
 	}
-	var err error
-	f.conn(c.node).Call(c.p, 180, 150, func(sp *sim.Proc) {
-		if useDirCost {
-			if dir, lerr := f.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := f.dirLock(dir.Ino)
-				lock.Lock(sp)
-				defer lock.Unlock()
-				sp.Sleep(time.Duration(float64(svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
-			} else {
-				sp.Sleep(svc)
-			}
-		} else {
-			sp.Sleep(svc)
-		}
-		f.rpcs++
-		err = apply(sp)
-	})
-	return err
+	c.r = req{fsys: f, op: op, path: p, other: other, svc: svc}
+	f.conn(c.node).Call(c.p, 180, 150, &c.r)
+	return &c.r
 }
 
 // Create delegates the create to the metadata server.
 func (c *client) Create(p string) error {
-	err := c.metaOp(p, c.fsys.cfg.CreateService, true, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Create(p, 0o644, sp.Now())
-		return e
-	})
+	err := c.metaOp(fs.OpCreate, p, "", c.fsys.cfg.CreateService).err
 	if err == nil {
 		if a, e := c.fsys.ns.Stat(p); e == nil {
 			c.fsys.attrCache(c.node).Put(p, a)
@@ -233,24 +262,17 @@ func (c *client) Fsync(h fs.Handle) error {
 
 // Mkdir delegates to the MDS.
 func (c *client) Mkdir(p string) error {
-	return c.metaOp(p, c.fsys.cfg.MkdirService, true, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
-		return e
-	})
+	return c.metaOp(fs.OpMkdir, p, "", c.fsys.cfg.MkdirService).err
 }
 
 // Rmdir delegates to the MDS.
 func (c *client) Rmdir(p string) error {
-	return c.metaOp(p, c.fsys.cfg.RemoveService, true, func(sp *sim.Proc) error {
-		return c.fsys.ns.Rmdir(p, sp.Now())
-	})
+	return c.metaOp(fs.OpRmdir, p, "", c.fsys.cfg.RemoveService).err
 }
 
 // Unlink delegates to the MDS.
 func (c *client) Unlink(p string) error {
-	err := c.metaOp(p, c.fsys.cfg.RemoveService, true, func(sp *sim.Proc) error {
-		return c.fsys.ns.Unlink(p, sp.Now())
-	})
+	err := c.metaOp(fs.OpUnlink, p, "", c.fsys.cfg.RemoveService).err
 	if err == nil {
 		c.fsys.attrCache(c.node).Invalidate(p)
 	}
@@ -259,9 +281,7 @@ func (c *client) Unlink(p string) error {
 
 // Rename delegates to the MDS.
 func (c *client) Rename(oldPath, newPath string) error {
-	err := c.metaOp(oldPath, c.fsys.cfg.RenameService, true, func(sp *sim.Proc) error {
-		return c.fsys.ns.Rename(oldPath, newPath, sp.Now())
-	})
+	err := c.metaOp(fs.OpRename, oldPath, newPath, c.fsys.cfg.RenameService).err
 	if err == nil {
 		cache := c.fsys.attrCache(c.node)
 		cache.Invalidate(oldPath)
@@ -272,17 +292,12 @@ func (c *client) Rename(oldPath, newPath string) error {
 
 // Link delegates to the MDS.
 func (c *client) Link(oldPath, newPath string) error {
-	return c.metaOp(newPath, c.fsys.cfg.CreateService, true, func(sp *sim.Proc) error {
-		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
-	})
+	return c.metaOp(fs.OpLink, newPath, oldPath, c.fsys.cfg.CreateService).err
 }
 
 // Symlink delegates to the MDS.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.metaOp(linkPath, c.fsys.cfg.CreateService, true, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-		return e
-	})
+	return c.metaOp(fs.OpSymlink, linkPath, target, c.fsys.cfg.CreateService).err
 }
 
 // Stat serves from the node cache or delegates to the MDS.
@@ -292,31 +307,20 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if a, ok := cache.Get(p); ok {
 		return a, nil
 	}
-	var a fs.Attr
-	err := c.metaOp(p, c.fsys.cfg.GetattrService, false, func(sp *sim.Proc) error {
-		var e error
-		a, e = c.fsys.ns.Stat(p)
-		return e
-	})
-	if err != nil {
-		return fs.Attr{}, err
+	r := c.metaOp(fs.OpStat, p, "", c.fsys.cfg.GetattrService)
+	if r.err != nil {
+		return fs.Attr{}, r.err
 	}
-	cache.Put(p, a)
-	return a, nil
+	cache.Put(p, r.attr)
+	return r.attr, nil
 }
 
 // ReadDir delegates to the MDS.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
-	var ents []fs.DirEntry
-	err := c.metaOp(p, c.fsys.cfg.ReaddirService, false, func(sp *sim.Proc) error {
-		var e error
-		ents, e = c.fsys.ns.ReadDir(p, sp.Now())
-		if e == nil {
-			sp.Sleep(time.Duration(len(ents)) * time.Microsecond)
-		}
-		return e
-	})
-	return ents, err
+	r := c.metaOp(fs.OpReadDir, p, "", c.fsys.cfg.ReaddirService)
+	ents := r.ents
+	r.ents = nil // the caller owns the slice
+	return ents, r.err
 }
 
 // DropCaches clears the node's attribute cache.

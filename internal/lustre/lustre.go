@@ -60,8 +60,9 @@ type Config struct {
 	// the write-back flushers), and the MDS — namespace, journal,
 	// directory locks, prealloc pools — plus the OSS fan out round-robin
 	// over domains 1..D-1. RPCs and refills become timestamped
-	// cross-domain messages. With Domains <= 1 the model runs its exact
-	// legacy single-kernel code path, byte for byte.
+	// cross-domain messages. With Domains <= 1 the model runs on the
+	// single kernel; both layouts share every RPC body, and only the
+	// write-back existence check and size-on-close differ by protocol.
 	Domains int
 }
 
@@ -104,6 +105,12 @@ type FS struct {
 	mds     *simnet.Server
 	oss     []*simnet.Server
 	ossConn []*simnet.Conn // MDS-side connections for prealloc refills
+	// dataConn holds the client-side connection to each OSS for data
+	// flushes. They carry no bandwidth limit, so one shared Conn per OSS
+	// has no wire state to share.
+	dataConn []*simnet.Conn
+	// refill is the OSS-side body of a prealloc refill.
+	refill  simnet.Delay
 	journal *storage.Journal
 	ns      *namespace.Namespace
 
@@ -135,6 +142,8 @@ type wbState struct {
 	window  *sim.Semaphore
 	flusher *sim.Proc
 	flushed *sim.Cond
+	// drain is the flusher's one in-flight replayed create.
+	drain req
 }
 
 // New creates a Lustre file system on kernel k.
@@ -153,6 +162,7 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
 		nodes:    make(map[*cluster.Node]*wbState),
 		pool:     make([]int, cfg.NumOSS),
+		refill:   simnet.Delay(cfg.OSSRefillService),
 	}
 	for i := 0; i < cfg.NumOSS; i++ {
 		ok := rt.KernelFor(1 + i)
@@ -161,6 +171,7 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		// Refill connections originate at the MDS, so their wire state
 		// (unused here: bandwidth 0) belongs to the MDS kernel.
 		f.ossConn = append(f.ossConn, simnet.NewConn(mk, srv, cfg.OneWayLatency, 0))
+		f.dataConn = append(f.dataConn, simnet.NewConn(k, srv, cfg.OneWayLatency, 0))
 	}
 	return f
 }
@@ -277,16 +288,8 @@ func (f *FS) allocObject(sp *sim.Proc) {
 	if f.pool[idx] == 0 {
 		f.RefillCount++
 		// The refill runs from an MDS-domain proc; the OSS may live in
-		// another domain, so the synchronous RPC goes through CallDom.
-		if f.domained() {
-			f.ossConn[idx].CallDom(sp, 200, 200, func(op *sim.Proc) {
-				op.Sleep(f.cfg.OSSRefillService)
-			})
-		} else {
-			f.ossConn[idx].Call(sp, 200, 200, func(op *sim.Proc) {
-				op.Sleep(f.cfg.OSSRefillService)
-			})
-		}
+		// another domain, which Call handles.
+		f.ossConn[idx].Call(sp, 200, 200, &f.refill)
 		f.pool[idx] = f.cfg.PreallocBatch
 	}
 	f.pool[idx]--
@@ -331,21 +334,13 @@ func (f *FS) lockParent(p string) *sim.Mutex {
 // flushLoop drains the write-back log of one node to the MDS.
 func (f *FS) flushLoop(p *sim.Proc, n *cluster.Node, s *wbState) {
 	conn := f.conn(n)
-	dom := f.domained()
 	for {
 		item := s.queue.Get(p).(string)
 		// Errors at replay (e.g. a conflicting create from another
 		// node) are dropped; the benchmark namespace is partitioned
 		// per process so conflicts cannot occur in our workloads.
-		if dom {
-			conn.CallDom(p, 200, 160, func(sp *sim.Proc) {
-				_ = f.mdsCreate(sp, item)
-			})
-		} else {
-			conn.Call(p, 200, 160, func(sp *sim.Proc) {
-				_ = f.mdsCreate(sp, item)
-			})
-		}
+		s.drain = req{fsys: f, op: fs.OpCreate, path: item}
+		conn.Call(p, 200, 160, &s.drain)
 		delete(s.pending, item)
 		s.window.Release(1)
 		s.flushed.Broadcast()
@@ -370,11 +365,108 @@ type client struct {
 	p       *sim.Proc
 	nextFH  fs.Handle
 	handles map[fs.Handle]*openFile
+	// r is the client's one in-flight MDS RPC (see req); data is the
+	// OSS-side body of its data flushes.
+	r    req
+	data simnet.Delay
 }
 
-func (c *client) cfg() Config      { return c.fsys.cfg }
+func (c *client) cfg() *Config     { return &c.fsys.cfg }
 func (c *client) st() *wbState     { return c.fsys.nodeState(c.node) }
 func (c *client) cn() *simnet.Conn { return c.fsys.conn(c.node) }
+
+// req is one MDS RPC. A client issues one synchronous RPC at a time, so
+// it holds a single req by value and reuses it: the client fills in the
+// operation and its arguments, Serve runs on the MDS (in the MDS's
+// kernel domain when the cell is domained) and writes the results back,
+// and the client applies its cache fills after Call returns — one body
+// per operation for both kernel layouts. OpStat stands for the GETATTR
+// intent every lookup-type client call issues.
+type req struct {
+	fsys *FS
+	op   fs.OpKind
+	// path is the entry the operation addresses (its parent is the
+	// directory the MDS locks); other is the second name: the rename
+	// destination, the existing name a link points at, the symlink
+	// target.
+	path, other string
+	// svc and logBytes are the service time and journal record size of
+	// a namespace change (logBytes 0: not journaled).
+	svc      time.Duration
+	logBytes int64
+	// fill asks a create to return the new entry's attributes.
+	fill bool
+
+	// Results.
+	err    error
+	attr   fs.Attr
+	attrOK bool // attr holds the created entry's attributes (fill)
+	ents   []fs.DirEntry
+}
+
+// begin resets the client's request for op on path.
+func (c *client) begin(op fs.OpKind, path string) *req {
+	c.r = req{fsys: c.fsys, op: op, path: path}
+	return &c.r
+}
+
+// getattr issues one GETATTR intent RPC for p.
+func (c *client) getattr(p string) *req {
+	r := c.begin(fs.OpStat, p)
+	c.cn().Call(c.p, 150, 170, r)
+	return r
+}
+
+// Serve runs the operation on the MDS.
+func (r *req) Serve(sp *sim.Proc) {
+	f, cfg := r.fsys, &r.fsys.cfg
+	switch r.op {
+	case fs.OpStat:
+		sp.Sleep(cfg.GetattrService)
+		f.rpcs++
+		r.attr, r.err = f.ns.Stat(r.path)
+	case fs.OpCreate:
+		r.err = f.mdsCreate(sp, r.path)
+		if r.err == nil && r.fill {
+			var err error
+			r.attr, err = f.ns.Stat(r.path)
+			r.attrOK = err == nil
+		}
+	case fs.OpReadDir:
+		r.ents, r.err = f.ns.ReadDir(r.path, sp.Now())
+		pages := 1
+		if r.err == nil {
+			pages = (len(r.ents) + 1023) / 1024
+			if pages < 1 {
+				pages = 1
+			}
+		}
+		sp.Sleep(time.Duration(pages)*cfg.ReaddirService +
+			time.Duration(len(r.ents))*cfg.ReaddirPerEntry)
+		f.rpcs++
+	default:
+		r.modify(sp)
+	}
+}
+
+// modify serves the other namespace-changing operations: under the
+// MDS-side lock of the parent directory, the service charge priced by
+// the directory's size, then the change and its journal record.
+func (r *req) modify(sp *sim.Proc) {
+	f := r.fsys
+	lock := f.lockParent(r.path)
+	if lock != nil {
+		lock.Lock(sp)
+		defer lock.Unlock()
+	}
+	t := float64(r.svc) * f.cfg.DirIndex.EntryCost(f.parentEntries(r.path))
+	sp.Sleep(time.Duration(t))
+	f.rpcs++
+	r.err = f.ns.Apply(r.op, r.path, r.other, sp.Now())
+	if r.err == nil && r.logBytes > 0 {
+		f.journal.Log(r.logBytes)
+	}
+}
 
 // Create either performs a synchronous intent-create RPC, or — in
 // write-back mode — completes locally and enqueues the operation for the
@@ -387,9 +479,7 @@ func (c *client) Create(p string) error {
 		if _, dup := st.pending[p]; dup {
 			return fs.NewError("create", p, fs.EEXIST)
 		}
-		if exists, err := c.pathExists(p); err != nil {
-			return err
-		} else if exists {
+		if c.pathExists(p) {
 			return fs.NewError("create", p, fs.EEXIST)
 		}
 		st.window.Acquire(c.p, 1) // blocks when the window is exhausted
@@ -404,78 +494,42 @@ func (c *client) Create(p string) error {
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
-	// Separate literals per branch: CallDom's service parameter escapes
-	// (the cross-domain path stores it in a message), so a shared
-	// literal — and everything it captures — would heap-allocate on
-	// every undomained create too. The legacy literal only ever flows
-	// into Call and stays on the stack.
-	if c.fsys.domained() {
-		// Cross-domain the reply carries the fresh attributes: the
-		// namespace may not be read from the client's domain, so the
-		// cache fill is captured here and applied via Defer.
-		var err error
-		c.cn().CallDom(c.p, 220, 180, func(sp *sim.Proc) {
-			err = c.fsys.mdsCreate(sp, p)
-			if err == nil {
-				if a, serr := c.fsys.ns.Stat(p); serr == nil {
-					simnet.Defer(sp, func() {
-						st.attrs.Put(p, a)
-						st.dentries.PutPositive(p, a.Ino)
-					})
-				}
-			}
-		})
-		return err
+	r := c.begin(fs.OpCreate, p)
+	r.fill = true
+	c.cn().Call(c.p, 220, 180, r)
+	if r.attrOK {
+		st.attrs.Put(p, r.attr)
+		st.dentries.PutPositive(p, r.attr.Ino)
 	}
-	var err error
-	c.cn().Call(c.p, 220, 180, func(sp *sim.Proc) {
-		err = c.fsys.mdsCreate(sp, p)
-	})
-	if err != nil {
-		return err
-	}
-	a, _ := c.fsys.ns.Stat(p)
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
-	return nil
+	return r.err
 }
 
-// pathExists answers the write-back create's existence check. Legacy
-// (single-kernel) it is a free namespace read. Under domains the MDS
+// pathExists answers the write-back create's existence check. On the
+// single kernel it is a free namespace read. Under domains the MDS
 // namespace may not be read from the client: pending entries and the
 // client caches answer locally (a write-back client holds the directory
 // under lease, §4.8), and an unknown path pays a real GETATTR intent to
 // the MDS.
-func (c *client) pathExists(p string) (bool, error) {
+func (c *client) pathExists(p string) bool {
 	if !c.fsys.domained() {
 		_, err := c.fsys.ns.Stat(p)
-		return err == nil, nil
+		return err == nil
 	}
 	st := c.st()
 	if _, ok := st.attrs.Get(p); ok {
-		return true, nil
+		return true
 	}
 	if _, neg, ok := st.dentries.Lookup(p); ok {
-		return !neg, nil
+		return !neg
 	}
-	cfg := c.cfg()
-	exists := false
-	c.cn().CallDom(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(cfg.GetattrService)
-		c.fsys.rpcs++
-		a, err := c.fsys.ns.Stat(p)
-		ok := err == nil
-		exists = ok
-		simnet.Defer(sp, func() {
-			if ok {
-				st.attrs.Put(p, a)
-				st.dentries.PutPositive(p, a.Ino)
-			} else {
-				st.dentries.PutNegative(p)
-			}
-		})
-	})
-	return exists, nil
+	r := c.getattr(p)
+	if r.err != nil {
+		st.dentries.PutNegative(p)
+		return false
+	}
+	st.attrs.Put(p, r.attr)
+	st.dentries.PutPositive(p, r.attr.Ino)
+	return true
 }
 
 // waitNotPending blocks until p has been flushed to the MDS (write-back
@@ -492,8 +546,7 @@ func (c *client) waitNotPending(p string) {
 
 // Open resolves the path and returns a handle.
 func (c *client) Open(p string) (fs.Handle, error) {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.SyscallNice(c.p, c.cfg().ClientNice)
 	st := c.st()
 	if _, ok := st.pending[p]; ok {
 		c.nextFH++
@@ -502,49 +555,16 @@ func (c *client) Open(p string) (fs.Handle, error) {
 	}
 	a, ok := st.attrs.Get(p)
 	if !ok {
-		var err error
-		if c.fsys.domained() {
-			a, err = c.statRPCDom(p, cfg)
-		} else {
-			a, err = c.statRPC(p, cfg)
+		r := c.getattr(p)
+		if r.err != nil {
+			return 0, r.err
 		}
-		if err != nil {
-			return 0, err
-		}
+		a = r.attr
 		st.attrs.Put(p, a)
 	}
 	c.nextFH++
 	c.handles[c.nextFH] = &openFile{path: p, size: a.Size}
 	return c.nextFH, nil
-}
-
-// statRPC issues one GETATTR RPC on the single-kernel path. Its twin
-// statRPCDom carries a separate closure literal on purpose: CallDom's
-// service parameter escapes (the cross-domain path stores it in a
-// message), so one shared literal — and the Config and result slots it
-// captures — would heap-allocate on every undomained GETATTR too.
-func (c *client) statRPC(p string, cfg Config) (fs.Attr, error) {
-	var a fs.Attr
-	var err error
-	c.cn().Call(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(cfg.GetattrService)
-		c.fsys.rpcs++
-		a, err = c.fsys.ns.Stat(p)
-	})
-	return a, err
-}
-
-// statRPCDom is statRPC against the domained MDS: the body only copies
-// the attr out through the rendezvous, never touching client state.
-func (c *client) statRPCDom(p string, cfg Config) (fs.Attr, error) {
-	var a fs.Attr
-	var err error
-	c.cn().CallDom(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(cfg.GetattrService)
-		c.fsys.rpcs++
-		a, err = c.fsys.ns.Stat(p)
-	})
-	return a, err
 }
 
 // Close flushes buffered writes to the objects (data goes to the OSS, not
@@ -587,45 +607,48 @@ func (c *client) Fsync(h fs.Handle) error {
 	return nil
 }
 
+// sizeOnClose is the MDS-side body of the asynchronous size update a
+// client sends after flushing data; it outlives the flush, so each
+// update is its own value.
+type sizeOnClose struct {
+	fsys    *FS
+	path    string
+	written int64
+}
+
+// Serve applies the size update.
+func (u *sizeOnClose) Serve(sp *sim.Proc) {
+	ns := u.fsys.ns
+	if node, err := ns.Lookup(u.path); err == nil {
+		ns.SetSize(node.Ino, node.Size+u.written, sp.Now())
+	}
+}
+
 // flushData sends dirty file data to the object's OSS.
 func (c *client) flushData(of *openFile) {
-	cfg := c.cfg()
+	f := c.fsys
 	idx := 0
-	if n := len(c.fsys.oss); n > 0 {
+	if n := len(f.oss); n > 0 {
 		idx = int(of.written) % n
 	}
-	conn := simnet.NewConn(c.fsys.k, c.fsys.oss[idx], cfg.OneWayLatency, 0)
-	if c.fsys.domained() {
-		conn.CallDom(c.p, 150+of.written, 150, func(sp *sim.Proc) {
-			sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.written)/65536)))
-		})
-	} else {
-		conn.Call(c.p, 150+of.written, 150, func(sp *sim.Proc) {
-			sp.Sleep(time.Duration(float64(50*time.Microsecond) * (1 + float64(of.written)/65536)))
-		})
-	}
+	c.data = simnet.Delay(float64(50*time.Microsecond) * (1 + float64(of.written)/65536))
+	f.dataConn[idx].Call(c.p, 150+of.written, 150, &c.data)
 	st := c.st()
-	written := of.written
 	if a, ok := st.pending[of.path]; ok {
-		a.Size += written
+		a.Size += of.written
 		st.pending[of.path] = a
-	} else if c.fsys.domained() {
+	} else if f.domained() {
 		// The MDS namespace may not be touched from the client's domain:
 		// the size update travels as a fire-and-forget size-on-close
 		// message to the MDS (the asynchronous MDS_SIZE update a Lustre
 		// client issues), and the local attribute refresh rides on the
 		// open handle's own bookkeeping instead of a namespace read.
-		path := of.path
-		c.cn().OneWay(c.p, 120, func(sp *sim.Proc) {
-			if node, err := c.fsys.ns.Lookup(path); err == nil {
-				c.fsys.ns.SetSize(node.Ino, node.Size+written, sp.Now())
-			}
-		})
-	} else if node, err := c.fsys.ns.Lookup(of.path); err == nil {
-		c.fsys.ns.SetSize(node.Ino, node.Size+of.written, c.p.Now())
+		c.cn().OneWay(c.p, 120, &sizeOnClose{fsys: f, path: of.path, written: of.written})
+	} else if node, err := f.ns.Lookup(of.path); err == nil {
+		f.ns.SetSize(node.Ino, node.Size+of.written, c.p.Now())
 		// The writing client holds the object lock and knows the new
 		// size; refresh its attribute cache so local stats see it.
-		if a, err := c.fsys.ns.Stat(of.path); err == nil {
+		if a, err := f.ns.Stat(of.path); err == nil {
 			st.attrs.Put(of.path, a)
 		}
 	}
@@ -636,24 +659,12 @@ func (c *client) flushData(of *openFile) {
 
 // Mkdir issues a synchronous MKDIR RPC to the MDS.
 func (c *client) Mkdir(p string) error {
-	return c.modifyRPC(p, c.cfg().MkdirService, func(sp *sim.Proc) error {
-		_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
-		if err == nil {
-			c.fsys.journal.Log(512)
-		}
-		return err
-	})
+	return c.modifyRPC(fs.OpMkdir, p, "", c.cfg().MkdirService, 512)
 }
 
 // Rmdir issues a synchronous RPC.
 func (c *client) Rmdir(p string) error {
-	return c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-		err := c.fsys.ns.Rmdir(p, sp.Now())
-		if err == nil {
-			c.fsys.journal.Log(256)
-		}
-		return err
-	})
+	return c.modifyRPC(fs.OpRmdir, p, "", c.cfg().RemoveService, 256)
 }
 
 // Unlink issues a synchronous RPC; in write-back mode it first waits for
@@ -662,13 +673,7 @@ func (c *client) Unlink(p string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(p)
 	}
-	err := c.modifyRPC(p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-		err := c.fsys.ns.Unlink(p, sp.Now())
-		if err == nil {
-			c.fsys.journal.Log(256)
-		}
-		return err
-	})
+	err := c.modifyRPC(fs.OpUnlink, p, "", c.cfg().RemoveService, 256)
 	if err == nil {
 		st := c.st()
 		st.attrs.Invalidate(p)
@@ -682,13 +687,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(oldPath)
 	}
-	err := c.modifyRPC(oldPath, c.cfg().RenameService, func(sp *sim.Proc) error {
-		err := c.fsys.ns.Rename(oldPath, newPath, sp.Now())
-		if err == nil {
-			c.fsys.journal.Log(512)
-		}
-		return err
-	})
+	err := c.modifyRPC(fs.OpRename, oldPath, newPath, c.cfg().RenameService, 512)
 	if err == nil {
 		st := c.st()
 		st.attrs.Invalidate(oldPath)
@@ -704,69 +703,31 @@ func (c *client) Link(oldPath, newPath string) error {
 	if c.cfg().Writeback {
 		c.waitNotPending(oldPath)
 	}
-	return c.modifyRPC(newPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
-	})
+	return c.modifyRPC(fs.OpLink, newPath, oldPath, c.cfg().CreateService, 0)
 }
 
 // Symlink issues a synchronous RPC to the MDS.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.modifyRPC(linkPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-		if e == nil {
-			c.fsys.journal.Log(384)
-		}
-		return e
-	})
+	return c.modifyRPC(fs.OpSymlink, linkPath, target, c.cfg().CreateService, 384)
 }
 
-func (c *client) modifyRPC(p string, svc time.Duration, apply func(sp *sim.Proc) error) error {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+// modifyRPC issues one namespace-changing RPC under the client-side
+// i_mutex of p's parent directory; a change journals logBytes.
+func (c *client) modifyRPC(op fs.OpKind, p, other string, svc time.Duration, logBytes int64) error {
+	c.node.SyscallNice(c.p, c.cfg().ClientNice)
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
-	// The domained twin lives in its own method so its escaping CallDom
-	// closure never heap-boxes the Config on undomained mutations.
-	if c.fsys.domained() {
-		return c.modifyRPCDom(p, svc, cfg, apply)
-	}
-	var err error
-	c.cn().Call(c.p, 200, 160, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		t := float64(svc) * cfg.DirIndex.EntryCost(c.fsys.parentEntries(p))
-		sp.Sleep(time.Duration(t))
-		c.fsys.rpcs++
-		err = apply(sp)
-	})
-	return err
-}
-
-func (c *client) modifyRPCDom(p string, svc time.Duration, cfg Config, apply func(sp *sim.Proc) error) error {
-	var err error
-	c.cn().CallDom(c.p, 200, 160, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		t := float64(svc) * cfg.DirIndex.EntryCost(c.fsys.parentEntries(p))
-		sp.Sleep(time.Duration(t))
-		c.fsys.rpcs++
-		err = apply(sp)
-	})
-	return err
+	r := c.begin(op, p)
+	r.other, r.svc, r.logBytes = other, svc, logBytes
+	c.cn().Call(c.p, 200, 160, r)
+	return r.err
 }
 
 // Stat serves pending write-back entries and fresh cached attributes
 // locally, otherwise issues a GETATTR RPC to the MDS.
 func (c *client) Stat(p string) (fs.Attr, error) {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.SyscallNice(c.p, c.cfg().ClientNice)
 	st := c.st()
 	if a, ok := st.pending[p]; ok {
 		return a, nil
@@ -774,65 +735,23 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if a, ok := st.attrs.Get(p); ok {
 		return a, nil
 	}
-	var a fs.Attr
-	var err error
-	if c.fsys.domained() {
-		a, err = c.statRPCDom(p, cfg)
-	} else {
-		a, err = c.statRPC(p, cfg)
+	r := c.getattr(p)
+	if r.err != nil {
+		return fs.Attr{}, r.err
 	}
-	if err != nil {
-		return fs.Attr{}, err
-	}
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
-	return a, nil
+	st.attrs.Put(p, r.attr)
+	st.dentries.PutPositive(p, r.attr.Ino)
+	return r.attr, nil
 }
 
 // ReadDir issues READDIR RPCs to the MDS.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
-	if c.fsys.domained() {
-		return c.readDirDom(p, cfg)
-	}
-	var ents []fs.DirEntry
-	var err error
-	c.cn().Call(c.p, 150, 300, func(sp *sim.Proc) {
-		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
-		pages := 1
-		if err == nil {
-			pages = (len(ents) + 1023) / 1024
-			if pages < 1 {
-				pages = 1
-			}
-		}
-		sp.Sleep(time.Duration(pages)*cfg.ReaddirService +
-			time.Duration(len(ents))*cfg.ReaddirPerEntry)
-		c.fsys.rpcs++
-	})
-	return ents, err
-}
-
-// readDirDom is ReadDir against the domained MDS: the entry slice is
-// built server-side and copied out through the rendezvous.
-func (c *client) readDirDom(p string, cfg Config) ([]fs.DirEntry, error) {
-	var ents []fs.DirEntry
-	var err error
-	c.cn().CallDom(c.p, 150, 300, func(sp *sim.Proc) {
-		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
-		pages := 1
-		if err == nil {
-			pages = (len(ents) + 1023) / 1024
-			if pages < 1 {
-				pages = 1
-			}
-		}
-		sp.Sleep(time.Duration(pages)*cfg.ReaddirService +
-			time.Duration(len(ents))*cfg.ReaddirPerEntry)
-		c.fsys.rpcs++
-	})
-	return ents, err
+	r := c.begin(fs.OpReadDir, p)
+	c.cn().Call(c.p, 150, 300, r)
+	ents := r.ents
+	r.ents = nil // the caller owns the slice
+	return ents, r.err
 }
 
 // DropCaches clears the node's volatile caches (the write-back log is

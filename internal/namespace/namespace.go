@@ -447,6 +447,34 @@ func (ns *Namespace) Rename(oldPath, newPath string, now time.Duration) error {
 	return nil
 }
 
+// Apply performs the namespace change op names, so a model's RPC body
+// can carry its operation as data: OpCreate (mode 0644), OpMkdir (0755),
+// OpRmdir and OpUnlink of path; OpRename of path to other; OpLink of the
+// new name path to the existing name other; OpSymlink of path pointing
+// at other. Any other kind fails with EINVAL.
+func (ns *Namespace) Apply(op fs.OpKind, path, other string, now time.Duration) error {
+	var err error
+	switch op {
+	case fs.OpCreate:
+		_, err = ns.Create(path, 0o644, now)
+	case fs.OpMkdir:
+		_, err = ns.Mkdir(path, 0o755, now)
+	case fs.OpRmdir:
+		err = ns.Rmdir(path, now)
+	case fs.OpUnlink:
+		err = ns.Unlink(path, now)
+	case fs.OpRename:
+		err = ns.Rename(path, other, now)
+	case fs.OpLink:
+		err = ns.Link(other, path, now)
+	case fs.OpSymlink:
+		_, err = ns.Symlink(other, path, now)
+	default:
+		err = fs.NewError(op.String(), path, fs.EINVAL)
+	}
+	return err
+}
+
 // Stat returns the attributes of the object at path.
 func (ns *Namespace) Stat(path string) (fs.Attr, error) {
 	node, err := ns.Lookup(path)

@@ -3,6 +3,8 @@ package namespace
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -404,5 +406,49 @@ func TestEntryCostShapes(t *testing.T) {
 		if c := d.EntryCost(0); c != 1 {
 			t.Fatalf("%v cost(0) = %f", d, c)
 		}
+	}
+}
+
+func TestApply(t *testing.T) {
+	ns := New()
+	steps := []struct {
+		op          fs.OpKind
+		path, other string
+	}{
+		{fs.OpMkdir, "/d", ""},
+		{fs.OpCreate, "/d/a", ""},
+		{fs.OpLink, "/d/b", "/d/a"},    // new name b for the existing a
+		{fs.OpRename, "/d/a", "/d/c"},  // a moves to c
+		{fs.OpSymlink, "/d/s", "/d/c"}, // s points at c
+		{fs.OpUnlink, "/d/b", ""},
+	}
+	for _, s := range steps {
+		if err := ns.Apply(s.op, s.path, s.other, 0); err != nil {
+			t.Fatalf("Apply(%v, %s, %s): %v", s.op, s.path, s.other, err)
+		}
+	}
+	ents, err := ns.ReadDir("/d", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name)
+	}
+	sort.Strings(names)
+	if got := strings.Join(names, ","); got != "c,s" {
+		t.Fatalf("entries %s, want c,s", got)
+	}
+	if a, _ := ns.Stat("/d/c"); a.Mode != 0o644 || a.Nlink != 1 {
+		t.Fatalf("/d/c mode %o nlink %d, want 644 and 1", a.Mode, a.Nlink)
+	}
+	if a, _ := ns.Stat("/d"); a.Mode != 0o755 {
+		t.Fatalf("/d mode %o, want 755", a.Mode)
+	}
+	if err := ns.Apply(fs.OpRmdir, "/d", "", 0); fs.CodeOf(err) != fs.ENOTEMPTY {
+		t.Fatalf("rmdir of a non-empty dir: %v", err)
+	}
+	if err := ns.Apply(fs.OpStat, "/d", "", 0); fs.CodeOf(err) != fs.EINVAL {
+		t.Fatalf("Apply(OpStat) = %v, want EINVAL", err)
 	}
 }

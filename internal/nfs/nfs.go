@@ -60,8 +60,8 @@ type Config struct {
 	// service runtime (internal/service): domain 0 runs the clients,
 	// domain 1 the filer — its thread pool, WAFL, namespace and
 	// directory locks — and every RPC becomes a timestamped
-	// cross-domain message. With Domains <= 1 the model runs its exact
-	// legacy single-kernel code path, byte for byte.
+	// cross-domain message. With Domains <= 1 the model runs on the
+	// single kernel; both layouts share every RPC body.
 	Domains int
 }
 
@@ -145,9 +145,6 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 // Group exposes the FS's domain group (nil when Domains <= 1); tests
 // pin worker-count invariance through it.
 func (f *FS) Group() *sim.DomainGroup { return f.rt.Group() }
-
-// domained reports whether the filer runs in its own kernel domain.
-func (f *FS) domained() bool { return f.rt.Domained() }
 
 // Name identifies the model in results and charts.
 func (f *FS) Name() string { return "nfs" }
@@ -293,11 +290,140 @@ type client struct {
 	p       *sim.Proc
 	nextFH  fs.Handle
 	handles map[fs.Handle]*openFile
+	// r is the client's one in-flight RPC (see req).
+	r req
 }
 
-func (c *client) cfg() Config      { return c.fsys.cfg }
+func (c *client) cfg() *Config     { return &c.fsys.cfg }
 func (c *client) st() *nodeState   { return c.fsys.nodeState(c.node) }
 func (c *client) cn() *simnet.Conn { return c.fsys.conn(c.node) }
+
+// req is one NFS RPC. A client issues one synchronous RPC at a time, so
+// it holds a single req by value and reuses it: the client fills in the
+// operation and its arguments, Serve runs on the filer (in the filer's
+// kernel domain when the cell is domained) and writes the results back,
+// and the client applies its cache fills after Call returns — one body
+// per operation for both kernel layouts, since Serve never touches
+// client state and the client never reads the namespace. OpStat stands
+// for both LOOKUP and GETATTR, told apart by their service time.
+type req struct {
+	fsys *FS
+	op   fs.OpKind
+	// path is the entry the operation addresses (its parent is the
+	// directory the server locks); other is the second name: the rename
+	// destination, the existing name a link points at, the symlink
+	// target.
+	path, other string
+	svc         time.Duration
+	// dirCost prices a lookup by the size of path's directory.
+	dirCost bool
+	// Write arguments: the inode, its size before and the bytes written.
+	ino           fs.Ino
+	size, written int64
+
+	// Results.
+	err    error
+	attr   fs.Attr // path's attributes (lookups), else the post-op ones
+	attrOK bool    // attr holds the post-op attributes of a changed entry
+	ents   []fs.DirEntry
+}
+
+// begin resets the client's request for op on path.
+func (c *client) begin(op fs.OpKind, path string, svc time.Duration) *req {
+	c.r = req{fsys: c.fsys, op: op, path: path, svc: svc}
+	return &c.r
+}
+
+// lookup issues one LOOKUP (or, with the GETATTR service time, GETATTR)
+// RPC for p.
+func (c *client) lookup(p string, svc time.Duration, dirCost bool) *req {
+	r := c.begin(fs.OpStat, p, svc)
+	r.dirCost = dirCost
+	c.cn().Call(c.p, 120, 140, r)
+	return r
+}
+
+// Serve runs the operation on the filer.
+func (r *req) Serve(sp *sim.Proc) {
+	f, cfg := r.fsys, &r.fsys.cfg
+	switch r.op {
+	case fs.OpStat:
+		n := -1
+		if r.dirCost {
+			n = f.parentEntries(r.path)
+		}
+		f.service(sp, r.svc, n)
+		r.attr, r.err = f.ns.Stat(r.path)
+	case fs.OpWrite:
+		newSize := r.size + r.written
+		t := time.Duration(float64(cfg.WriteServicePerKB) * float64(r.written) / 1024)
+		if r.size <= cfg.InodeInlineBytes && newSize > cfg.InodeInlineBytes {
+			// Crossing the inline threshold allocates the first block.
+			t += cfg.BlockAllocService
+		}
+		f.service(sp, t, -1)
+		f.ns.SetSize(r.ino, newSize, sp.Now())
+		f.wafl.LogMetadata(sp, cfg.MetaLogBytes+r.written)
+		r.postOp(r.path)
+	case fs.OpReadDir:
+		r.ents, r.err = f.ns.ReadDir(r.path, sp.Now())
+		if r.err != nil {
+			f.service(sp, cfg.ReaddirService, -1)
+			return
+		}
+		pages := (len(r.ents) + 511) / 512
+		if pages < 1 {
+			pages = 1
+		}
+		t := time.Duration(pages)*cfg.ReaddirService +
+			time.Duration(len(r.ents))*cfg.ReaddirPerEntry
+		f.service(sp, t, -1)
+	default:
+		r.modify(sp)
+	}
+}
+
+// modify serves the namespace-changing operations: under the server-side
+// lock of the parent directory, the service charge priced by the
+// directory's size, the change itself and its NVRAM log record, then
+// the post-op attributes of the entry the change created or moved.
+func (r *req) modify(sp *sim.Proc) {
+	f := r.fsys
+	lock := f.lockParent(r.path)
+	if lock != nil {
+		lock.Lock(sp)
+		defer lock.Unlock()
+	}
+	f.service(sp, r.svc, f.parentEntries(r.path))
+	r.err = f.ns.Apply(r.op, r.path, r.other, sp.Now())
+	if r.err == nil {
+		f.wafl.LogMetadata(sp, f.cfg.MetaLogBytes)
+	}
+	if r.err != nil && !fs.IsExist(r.err) {
+		return
+	}
+	switch r.op {
+	case fs.OpRmdir, fs.OpUnlink:
+	case fs.OpRename:
+		r.postOp(r.other)
+	default:
+		r.postOp(r.path)
+	}
+}
+
+// postOp records path's attributes as the reply's post-op attributes.
+func (r *req) postOp(path string) {
+	var err error
+	r.attr, err = r.fsys.ns.Stat(path)
+	r.attrOK = err == nil
+}
+
+// fill caches the attributes a reply carried for path.
+func (c *client) fill(path string, a fs.Attr) {
+	st := c.st()
+	st.attrs.Put(path, a)
+	st.dentries.PutPositive(path, a.Ino)
+}
 
 // resolveParents walks the strict ancestors of p through the dentry
 // cache, issuing one LOOKUP RPC per missing component — the POSIX
@@ -305,16 +431,6 @@ func (c *client) cn() *simnet.Conn { return c.fsys.conn(c.node) }
 // dentries (30 s TTL) the walk is free; after a cache drop a deep path
 // costs one round trip per level.
 func (c *client) resolveParents(p string) error {
-	cfg := c.cfg()
-	// The domained walk lives in its own method on purpose: CallDom's
-	// service parameter escapes (the cross-domain path stores it in a
-	// message), so everything its closure captures — including the large
-	// Config, which is captured by reference — would be heap-boxed at
-	// entry of *this* function even on undomained runs. The legacy
-	// literal below only ever flows into Call and stays on the stack.
-	if c.fsys.domained() {
-		return c.resolveParentsDom(p, cfg)
-	}
 	st := c.st()
 	for i := 1; i < len(p); i++ {
 		if p[i] != '/' {
@@ -327,218 +443,115 @@ func (c *client) resolveParents(p string) error {
 			}
 			continue
 		}
-		var err error
-		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.LookupService, -1)
-			var a fs.Attr
-			a, err = c.fsys.ns.Stat(prefix)
-			if err == nil {
-				st.dentries.PutPositive(prefix, a.Ino)
-				st.attrs.Put(prefix, a)
-			} else {
-				st.dentries.PutNegative(prefix)
-			}
-		})
-		if err != nil {
-			return err
+		r := c.lookup(prefix, c.cfg().LookupService, false)
+		if r.err != nil {
+			st.dentries.PutNegative(prefix)
+			return r.err
 		}
+		c.fill(prefix, r.attr)
 	}
 	return nil
 }
 
-// resolveParentsDom is resolveParents against the domained filer: cache
-// fills are client state, so cross-domain they ride the reply (Defer)
-// back to the client's domain.
-func (c *client) resolveParentsDom(p string, cfg Config) error {
-	st := c.st()
-	for i := 1; i < len(p); i++ {
-		if p[i] != '/' {
-			continue
-		}
-		prefix := p[:i]
-		if _, neg, ok := st.dentries.Lookup(prefix); ok {
-			if neg {
-				return fs.NewError("lookup", prefix, fs.ENOENT)
-			}
-			continue
-		}
-		var err error
-		c.cn().CallDom(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.LookupService, -1)
-			var a fs.Attr
-			a, err = c.fsys.ns.Stat(prefix)
-			simnet.Defer(sp, func() {
-				if err == nil {
-					st.dentries.PutPositive(prefix, a.Ino)
-					st.attrs.Put(prefix, a)
-				} else {
-					st.dentries.PutNegative(prefix)
-				}
-			})
-		})
-		if err != nil {
-			return err
-		}
+// modifyRPC is the client side of the namespace-changing operations:
+// the ancestor walk, then one synchronous RPC under the client-side
+// i_mutex of p's parent directory. The post-op attributes the reply
+// carries replace any negative dentry left by an earlier failed lookup;
+// an EEXIST reply from a create or mkdir still caches the existing
+// entry.
+func (c *client) modifyRPC(op fs.OpKind, p, other string, svc time.Duration, reqBytes, respBytes int64) error {
+	c.node.SyscallNice(c.p, c.cfg().ClientNice)
+	if err := c.resolveParents(p); err != nil {
+		return err
 	}
-	return nil
+	imutex := c.node.DirLock(fs.ParentDir(p))
+	imutex.Lock(c.p)
+	defer imutex.Unlock()
+	r := c.begin(op, p, svc)
+	r.other = other
+	c.cn().Call(c.p, reqBytes, respBytes, r)
+	st := c.st()
+	switch {
+	case r.err != nil && (op == fs.OpCreate || op == fs.OpMkdir) && r.attrOK:
+		c.fill(p, r.attr)
+	case r.err != nil:
+	case op == fs.OpRmdir || op == fs.OpUnlink:
+		st.attrs.Invalidate(p)
+		st.dentries.Invalidate(p)
+	case op == fs.OpRename:
+		st.attrs.Invalidate(p)
+		st.dentries.Invalidate(p)
+		if r.attrOK {
+			c.fill(other, r.attr)
+		} else {
+			st.attrs.Invalidate(other)
+			st.dentries.Invalidate(other)
+		}
+	case r.attrOK:
+		c.fill(p, r.attr)
+	}
+	return r.err
 }
 
 // Create performs open(O_CREAT|O_EXCL)+close: one synchronous CREATE RPC
 // under the client-side parent i_mutex and the server-side directory
 // lock.
 func (c *client) Create(p string) error {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
-	if err := c.resolveParents(p); err != nil {
-		return err
-	}
-	if c.fsys.domained() {
-		return c.createDom(p, cfg)
-	}
-	parent := fs.ParentDir(p)
-	imutex := c.node.DirLock(parent)
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-
-	var err error
-	c.cn().Call(c.p, 160, 160, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		entries := c.fsys.parentEntries(p)
-		c.fsys.service(sp, cfg.CreateService, entries)
-		_, err = c.fsys.ns.Create(p, 0o644, sp.Now())
-		if err == nil {
-			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
-		}
-	})
-	if err != nil {
-		if fs.IsExist(err) {
-			if a, serr := c.fsys.ns.Stat(p); serr == nil {
-				c.st().attrs.Put(p, a)
-				c.st().dentries.PutPositive(p, a.Ino)
-			}
-		}
-		return err
-	}
-	a, _ := c.fsys.ns.Stat(p)
-	c.st().attrs.Put(p, a)
-	c.st().dentries.PutPositive(p, a.Ino)
-	return nil
+	return c.modifyRPC(fs.OpCreate, p, "", c.cfg().CreateService, 160, 160)
 }
 
-// createDom is Create against the domained filer. Cross-domain the
-// reply carries the fresh attributes: the namespace may not be read
-// from the client's domain, so the cache fill is captured in the
-// service body and applied via Defer. Split from Create so the escaping
-// CallDom closure never heap-boxes state shared with the legacy path.
-func (c *client) createDom(p string, cfg Config) error {
-	imutex := c.node.DirLock(fs.ParentDir(p))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
+// Mkdir issues a synchronous MKDIR RPC.
+func (c *client) Mkdir(p string) error {
+	return c.modifyRPC(fs.OpMkdir, p, "", c.cfg().MkdirService, 150, 140)
+}
 
-	var err error
-	c.cn().CallDom(c.p, 160, 160, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		entries := c.fsys.parentEntries(p)
-		c.fsys.service(sp, cfg.CreateService, entries)
-		_, err = c.fsys.ns.Create(p, 0o644, sp.Now())
-		if err == nil {
-			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
-		}
-		if err == nil || fs.IsExist(err) {
-			if a, serr := c.fsys.ns.Stat(p); serr == nil {
-				simnet.Defer(sp, func() {
-					c.st().attrs.Put(p, a)
-					c.st().dentries.PutPositive(p, a.Ino)
-				})
-			}
-		}
-	})
-	return err
+// Rmdir issues a synchronous RMDIR RPC.
+func (c *client) Rmdir(p string) error {
+	return c.modifyRPC(fs.OpRmdir, p, "", c.cfg().RemoveService, 150, 140)
+}
+
+// Unlink issues a synchronous REMOVE RPC.
+func (c *client) Unlink(p string) error {
+	return c.modifyRPC(fs.OpUnlink, p, "", c.cfg().RemoveService, 150, 140)
+}
+
+// Rename issues a synchronous RENAME RPC (atomic at the server).
+func (c *client) Rename(oldPath, newPath string) error {
+	return c.modifyRPC(fs.OpRename, oldPath, newPath, c.cfg().RenameService, 150, 140)
+}
+
+// Link issues a synchronous LINK RPC.
+func (c *client) Link(oldPath, newPath string) error {
+	return c.modifyRPC(fs.OpLink, newPath, oldPath, c.cfg().CreateService, 150, 140)
+}
+
+// Symlink issues a synchronous SYMLINK RPC.
+func (c *client) Symlink(target, linkPath string) error {
+	return c.modifyRPC(fs.OpSymlink, linkPath, target, c.cfg().CreateService, 150, 140)
 }
 
 // Open resolves the path (dentry cache, else LOOKUP RPC) and returns a
-// handle. Close-to-open: a fresh GETATTR piggybacks on the lookup.
+// handle. Close-to-open: the size comes from the LOOKUP reply, from a
+// fresh attribute cache entry (the close-to-open GETATTR that populated
+// it still applies), or from a real GETATTR revalidation — the round
+// trip an actual NFS client issues at open time.
 func (c *client) Open(p string) (fs.Handle, error) {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.SyscallNice(c.p, c.cfg().ClientNice)
 	if err := c.resolveParents(p); err != nil {
 		return 0, err
 	}
-	if c.fsys.domained() {
-		return c.openDom(p, cfg)
-	}
-	st := c.st()
-	ino, neg, ok := st.dentries.Lookup(p)
-	if !ok {
-		var err error
-		c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.LookupService, c.fsys.parentEntries(p))
-			var a fs.Attr
-			a, err = c.fsys.ns.Stat(p)
-			if err == nil {
-				ino = a.Ino
-				st.attrs.Put(p, a)
-				st.dentries.PutPositive(p, a.Ino)
-			} else {
-				st.dentries.PutNegative(p)
-			}
-		})
-		if err != nil {
-			return 0, err
-		}
-	} else if neg {
-		return 0, fs.NewError("open", p, fs.ENOENT)
-	}
-	node := c.fsys.ns.Get(ino)
-	if node == nil {
-		st.dentries.Invalidate(p)
-		return 0, fs.NewError("open", p, fs.ESTALE)
-	}
-	c.nextFH++
-	h := c.nextFH
-	c.handles[h] = &openFile{path: p, ino: ino, size: node.Size}
-	return h, nil
-}
-
-// openDom is Open against the domained filer. The namespace lives in
-// the filer's domain, so the legacy free read of node.Size is off
-// limits: the size rides the LOOKUP reply, comes from a fresh attribute
-// cache entry (the close-to-open GETATTR that populated it still
-// applies), or costs a real GETATTR revalidation — the round trip an
-// actual NFS client issues at open time. Split from Open so its
-// escaping CallDom closures never tax the undomained path.
-func (c *client) openDom(p string, cfg Config) (fs.Handle, error) {
 	st := c.st()
 	ino, neg, ok := st.dentries.Lookup(p)
 	var size int64
 	sized := false
 	if !ok {
-		var err error
-		c.cn().CallDom(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.LookupService, c.fsys.parentEntries(p))
-			var a fs.Attr
-			a, err = c.fsys.ns.Stat(p)
-			if err == nil {
-				ino, size, sized = a.Ino, a.Size, true
-				simnet.Defer(sp, func() {
-					st.attrs.Put(p, a)
-					st.dentries.PutPositive(p, a.Ino)
-				})
-			} else {
-				simnet.Defer(sp, func() { st.dentries.PutNegative(p) })
-			}
-		})
-		if err != nil {
-			return 0, err
+		r := c.lookup(p, c.cfg().LookupService, true)
+		if r.err != nil {
+			st.dentries.PutNegative(p)
+			return 0, r.err
 		}
+		ino, size, sized = r.attr.Ino, r.attr.Size, true
+		c.fill(p, r.attr)
 	} else if neg {
 		return 0, fs.NewError("open", p, fs.ENOENT)
 	}
@@ -548,23 +561,13 @@ func (c *client) openDom(p string, cfg Config) (fs.Handle, error) {
 		}
 	}
 	if !sized {
-		var err error
-		c.cn().CallDom(c.p, 120, 140, func(sp *sim.Proc) {
-			c.fsys.service(sp, cfg.GetattrService, -1)
-			var a fs.Attr
-			a, err = c.fsys.ns.Stat(p)
-			if err == nil {
-				ino, size, sized = a.Ino, a.Size, true
-				simnet.Defer(sp, func() {
-					st.attrs.Put(p, a)
-					st.dentries.PutPositive(p, a.Ino)
-				})
-			}
-		})
-		if err != nil {
+		r := c.lookup(p, c.cfg().GetattrService, false)
+		if r.err != nil {
 			st.dentries.Invalidate(p)
 			return 0, fs.NewError("open", p, fs.ESTALE)
 		}
+		ino, size = r.attr.Ino, r.attr.Size
+		c.fill(p, r.attr)
 	}
 	c.nextFH++
 	h := c.nextFH
@@ -613,297 +616,22 @@ func (c *client) Fsync(h fs.Handle) error {
 	return nil
 }
 
+// flush issues one WRITE RPC; its reply refreshes the attribute cache.
 func (c *client) flush(of *openFile) {
-	cfg := c.cfg()
-	if c.fsys.domained() {
-		c.flushDom(of, cfg)
-		return
-	}
-	newSize := of.size + of.written
-	c.cn().Call(c.p, 120+of.written, 140, func(sp *sim.Proc) {
-		t := time.Duration(float64(cfg.WriteServicePerKB) * float64(of.written) / 1024)
-		if of.size <= cfg.InodeInlineBytes && newSize > cfg.InodeInlineBytes {
-			// Crossing the inline threshold allocates the first block.
-			t += cfg.BlockAllocService
-		}
-		c.fsys.service(sp, t, -1)
-		c.fsys.ns.SetSize(of.ino, newSize, sp.Now())
-		c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes+of.written)
-	})
-	of.size = newSize
+	r := c.begin(fs.OpWrite, of.path, 0)
+	r.ino, r.size, r.written = of.ino, of.size, of.written
+	c.cn().Call(c.p, 120+of.written, 140, r)
+	of.size += of.written
 	of.written = 0
 	of.dirty = false
-	if a, err := c.fsys.ns.Stat(of.path); err == nil {
-		c.st().attrs.Put(of.path, a)
+	if r.attrOK {
+		c.st().attrs.Put(of.path, r.attr)
 	}
-}
-
-// flushDom is flush against the domained filer: the post-write
-// attribute refresh is captured server-side and Defer'd back.
-func (c *client) flushDom(of *openFile, cfg Config) {
-	newSize := of.size + of.written
-	c.cn().CallDom(c.p, 120+of.written, 140, func(sp *sim.Proc) {
-		t := time.Duration(float64(cfg.WriteServicePerKB) * float64(of.written) / 1024)
-		if of.size <= cfg.InodeInlineBytes && newSize > cfg.InodeInlineBytes {
-			// Crossing the inline threshold allocates the first block.
-			t += cfg.BlockAllocService
-		}
-		c.fsys.service(sp, t, -1)
-		c.fsys.ns.SetSize(of.ino, newSize, sp.Now())
-		c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes+of.written)
-		if a, err := c.fsys.ns.Stat(of.path); err == nil {
-			simnet.Defer(sp, func() { c.st().attrs.Put(of.path, a) })
-		}
-	})
-	of.size = newSize
-	of.written = 0
-	of.dirty = false
-}
-
-// Mkdir issues a synchronous MKDIR RPC.
-func (c *client) Mkdir(p string) error {
-	if c.fsys.domained() {
-		return c.modifyRPCDom("mkdir", p, c.cfg().MkdirService, func(sp *sim.Proc) error {
-			_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
-			if err == nil || fs.IsExist(err) {
-				c.captureFill(sp, p)
-			}
-			return err
-		})
-	}
-	err := c.modifyRPC("mkdir", p, c.cfg().MkdirService, func(sp *sim.Proc) error {
-		_, err := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
-		return err
-	})
-	if err != nil {
-		if fs.IsExist(err) {
-			if a, serr := c.fsys.ns.Stat(p); serr == nil {
-				st := c.st()
-				st.dentries.PutPositive(p, a.Ino)
-				st.attrs.Put(p, a)
-			}
-		}
-		return err
-	}
-	// Replace any negative dentry left by an earlier failed lookup.
-	if a, serr := c.fsys.ns.Stat(p); serr == nil {
-		st := c.st()
-		st.dentries.PutPositive(p, a.Ino)
-		st.attrs.Put(p, a)
-	}
-	return nil
-}
-
-// Rmdir issues a synchronous RMDIR RPC.
-func (c *client) Rmdir(p string) error {
-	var err error
-	if c.fsys.domained() {
-		err = c.modifyRPCDom("rmdir", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-			return c.fsys.ns.Rmdir(p, sp.Now())
-		})
-	} else {
-		err = c.modifyRPC("rmdir", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-			return c.fsys.ns.Rmdir(p, sp.Now())
-		})
-	}
-	if err == nil {
-		c.st().attrs.Invalidate(p)
-		c.st().dentries.Invalidate(p)
-	}
-	return err
-}
-
-// Unlink issues a synchronous REMOVE RPC.
-func (c *client) Unlink(p string) error {
-	var err error
-	if c.fsys.domained() {
-		err = c.modifyRPCDom("unlink", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-			return c.fsys.ns.Unlink(p, sp.Now())
-		})
-	} else {
-		err = c.modifyRPC("unlink", p, c.cfg().RemoveService, func(sp *sim.Proc) error {
-			return c.fsys.ns.Unlink(p, sp.Now())
-		})
-	}
-	if err == nil {
-		c.st().attrs.Invalidate(p)
-		c.st().dentries.Invalidate(p)
-	}
-	return err
-}
-
-// Rename issues a synchronous RENAME RPC (atomic at the server).
-func (c *client) Rename(oldPath, newPath string) error {
-	if c.fsys.domained() {
-		err := c.modifyRPCDom("rename", oldPath, c.cfg().RenameService, func(sp *sim.Proc) error {
-			err := c.fsys.ns.Rename(oldPath, newPath, sp.Now())
-			if err == nil && !c.captureFill(sp, newPath) {
-				simnet.Defer(sp, func() {
-					st := c.st()
-					st.attrs.Invalidate(newPath)
-					st.dentries.Invalidate(newPath)
-				})
-			}
-			return err
-		})
-		if err == nil {
-			st := c.st()
-			st.attrs.Invalidate(oldPath)
-			st.dentries.Invalidate(oldPath)
-		}
-		return err
-	}
-	err := c.modifyRPC("rename", oldPath, c.cfg().RenameService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Rename(oldPath, newPath, sp.Now())
-	})
-	if err == nil {
-		st := c.st()
-		st.attrs.Invalidate(oldPath)
-		st.dentries.Invalidate(oldPath)
-		if a, serr := c.fsys.ns.Stat(newPath); serr == nil {
-			st.dentries.PutPositive(newPath, a.Ino)
-			st.attrs.Put(newPath, a)
-		} else {
-			st.attrs.Invalidate(newPath)
-			st.dentries.Invalidate(newPath)
-		}
-	}
-	return err
-}
-
-// Link issues a synchronous LINK RPC.
-func (c *client) Link(oldPath, newPath string) error {
-	if c.fsys.domained() {
-		return c.modifyRPCDom("link", newPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-			err := c.fsys.ns.Link(oldPath, newPath, sp.Now())
-			if err == nil {
-				c.captureFill(sp, newPath)
-			}
-			return err
-		})
-	}
-	err := c.modifyRPC("link", newPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
-	})
-	if err != nil {
-		return err
-	}
-	if a, serr := c.fsys.ns.Stat(newPath); serr == nil {
-		st := c.st()
-		st.dentries.PutPositive(newPath, a.Ino)
-		st.attrs.Put(newPath, a)
-	}
-	return nil
-}
-
-// Symlink issues a synchronous SYMLINK RPC.
-func (c *client) Symlink(target, linkPath string) error {
-	if c.fsys.domained() {
-		return c.modifyRPCDom("symlink", linkPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-			_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-			if e == nil {
-				c.captureFill(sp, linkPath)
-			}
-			return e
-		})
-	}
-	err := c.modifyRPC("symlink", linkPath, c.cfg().CreateService, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-		return e
-	})
-	if err != nil {
-		return err
-	}
-	if a, serr := c.fsys.ns.Stat(linkPath); serr == nil {
-		st := c.st()
-		st.dentries.PutPositive(linkPath, a.Ino)
-		st.attrs.Put(linkPath, a)
-	}
-	return nil
-}
-
-// modifyRPC is the common path of the namespace-changing operations on
-// the legacy single-kernel filer. Its apply parameter only ever flows
-// into Conn.Call, so caller literals stay on the stack; domained
-// callers go through modifyRPCDom instead — a separate method for the
-// same closure-escape reason CallDom is separate from Call.
-func (c *client) modifyRPC(op, p string, svc time.Duration, apply func(sp *sim.Proc) error) error {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
-	if err := c.resolveParents(p); err != nil {
-		return err
-	}
-	imutex := c.node.DirLock(fs.ParentDir(p))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-	var err error
-	c.cn().Call(c.p, 150, 140, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		c.fsys.service(sp, svc, c.fsys.parentEntries(p))
-		err = apply(sp)
-		if err == nil {
-			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
-		}
-	})
-	return err
-}
-
-// modifyRPCDom is modifyRPC for the domained filer: the service body
-// (and the caller's apply closure inside it) executes in the filer's
-// kernel domain, so apply may read the namespace and register cache
-// fills with simnet.Defer, but must not touch client state directly.
-func (c *client) modifyRPCDom(op, p string, svc time.Duration, apply func(sp *sim.Proc) error) error {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
-	if err := c.resolveParents(p); err != nil {
-		return err
-	}
-	imutex := c.node.DirLock(fs.ParentDir(p))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-	var err error
-	c.cn().CallDom(c.p, 150, 140, func(sp *sim.Proc) {
-		lock := c.fsys.lockParent(p)
-		if lock != nil {
-			lock.Lock(sp)
-			defer lock.Unlock()
-		}
-		c.fsys.service(sp, svc, c.fsys.parentEntries(p))
-		err = apply(sp)
-		if err == nil {
-			c.fsys.wafl.LogMetadata(sp, cfg.MetaLogBytes)
-		}
-	})
-	return err
-}
-
-// captureFill snapshots path's server-side attributes from within a
-// cross-domain service body (after the mutation applied) and registers
-// the client cache fill for reply time. It reports whether the path
-// resolved. Callers use it where the legacy code reads the namespace
-// after the call returns — off limits once the namespace lives in the
-// filer's domain.
-func (c *client) captureFill(sp *sim.Proc, path string) bool {
-	a, err := c.fsys.ns.Stat(path)
-	if err != nil {
-		return false
-	}
-	simnet.Defer(sp, func() {
-		st := c.st()
-		st.dentries.PutPositive(path, a.Ino)
-		st.attrs.Put(path, a)
-	})
-	return true
 }
 
 // Stat serves from the attribute cache when fresh, else issues GETATTR.
 func (c *client) Stat(p string) (fs.Attr, error) {
-	cfg := c.cfg()
-	c.node.SyscallNice(c.p, cfg.ClientNice)
+	c.node.SyscallNice(c.p, c.cfg().ClientNice)
 	st := c.st()
 	if a, ok := st.attrs.Get(p); ok {
 		return a, nil
@@ -911,88 +639,22 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if err := c.resolveParents(p); err != nil {
 		return fs.Attr{}, err
 	}
-	if c.fsys.domained() {
-		return c.statDom(p, cfg)
+	r := c.lookup(p, c.cfg().GetattrService, false)
+	if r.err != nil {
+		return fs.Attr{}, r.err
 	}
-	var a fs.Attr
-	var err error
-	c.cn().Call(c.p, 120, 140, func(sp *sim.Proc) {
-		c.fsys.service(sp, cfg.GetattrService, -1)
-		a, err = c.fsys.ns.Stat(p)
-	})
-	if err != nil {
-		return fs.Attr{}, err
-	}
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
-	return a, nil
-}
-
-// statDom is the GETATTR miss path against the domained filer. The body
-// only copies the attr out; the client-side cache puts read that copy
-// after the rendezvous, never the namespace.
-func (c *client) statDom(p string, cfg Config) (fs.Attr, error) {
-	st := c.st()
-	var a fs.Attr
-	var err error
-	c.cn().CallDom(c.p, 120, 140, func(sp *sim.Proc) {
-		c.fsys.service(sp, cfg.GetattrService, -1)
-		a, err = c.fsys.ns.Stat(p)
-	})
-	if err != nil {
-		return fs.Attr{}, err
-	}
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
-	return a, nil
+	c.fill(p, r.attr)
+	return r.attr, nil
 }
 
 // ReadDir pages through the directory in 512-entry READDIR RPCs.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
-	if c.fsys.domained() {
-		return c.readDirDom(p, cfg)
-	}
-	var ents []fs.DirEntry
-	var err error
-	c.cn().Call(c.p, 130, 260, func(sp *sim.Proc) {
-		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
-		if err != nil {
-			c.fsys.service(sp, cfg.ReaddirService, -1)
-			return
-		}
-		pages := (len(ents) + 511) / 512
-		if pages < 1 {
-			pages = 1
-		}
-		t := time.Duration(pages)*cfg.ReaddirService +
-			time.Duration(len(ents))*cfg.ReaddirPerEntry
-		c.fsys.service(sp, t, -1)
-	})
-	return ents, err
-}
-
-// readDirDom is ReadDir against the domained filer: the entry slice is
-// built server-side and copied out through the rendezvous.
-func (c *client) readDirDom(p string, cfg Config) ([]fs.DirEntry, error) {
-	var ents []fs.DirEntry
-	var err error
-	c.cn().CallDom(c.p, 130, 260, func(sp *sim.Proc) {
-		ents, err = c.fsys.ns.ReadDir(p, sp.Now())
-		if err != nil {
-			c.fsys.service(sp, cfg.ReaddirService, -1)
-			return
-		}
-		pages := (len(ents) + 511) / 512
-		if pages < 1 {
-			pages = 1
-		}
-		t := time.Duration(pages)*cfg.ReaddirService +
-			time.Duration(len(ents))*cfg.ReaddirPerEntry
-		c.fsys.service(sp, t, -1)
-	})
-	return ents, err
+	r := c.begin(fs.OpReadDir, p, 0)
+	c.cn().Call(c.p, 130, 260, r)
+	ents := r.ents
+	r.ents = nil // the caller owns the slice
+	return ents, r.err
 }
 
 // DropCaches clears the node's attribute and dentry caches.

@@ -225,33 +225,6 @@ func (v *volume) dirLock(k *sim.Kernel, ino fs.Ino) *sim.Mutex {
 	return m
 }
 
-// dispatch runs service at the volume's D-blade, entering the cluster at
-// the node's mount filer. A request whose volume lives elsewhere pays the
-// forwarding penalty: extra N-blade CPU on both filers, the cluster
-// interconnect round trip, and thread occupancy on the owner.
-func (f *FS) dispatch(p *sim.Proc, n *cluster.Node, v *volume, service func(sp *sim.Proc)) {
-	entry := f.mountFiler(n)
-	cfg := f.cfg
-	f.conn(n, entry).Call(p, 180, 160, func(sp *sim.Proc) {
-		sp.Sleep(cfg.NBladeService)
-		f.rpcs++
-		if v.owner == entry {
-			service(sp)
-			return
-		}
-		// Forwarded path: translate, hop, queue at the owner.
-		f.ForwardCount++
-		sp.Sleep(cfg.ForwardOverhead)
-		sp.Sleep(cfg.ClusterLatency)
-		owner := f.filers[v.owner]
-		owner.srv.Threads.Acquire(sp)
-		sp.Sleep(cfg.ForwardOverhead)
-		service(sp)
-		owner.srv.Threads.Release()
-		sp.Sleep(cfg.ClusterLatency)
-	})
-}
-
 // NewClient binds a client for one process on one node.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
 	return &client{fsys: f, node: node, p: p, handles: make(map[fs.Handle]*openFile)}
@@ -271,45 +244,115 @@ type client struct {
 	p       *sim.Proc
 	nextFH  fs.Handle
 	handles map[fs.Handle]*openFile
+	// r is the client's one in-flight request, reused (a client issues
+	// one synchronous RPC at a time).
+	r req
 }
 
-// modify runs one namespace-changing request against the owning D-blade.
-func (c *client) modify(op, p string, svc time.Duration, apply func(sp *sim.Proc, v *volume, sub string) error) error {
+// req is one request through the cluster: Serve runs it at the mount
+// filer the client talks to and, via that filer's N-blade, at the
+// D-blade owning the volume; the results come back in its fields.
+type req struct {
+	fsys  *FS
+	op    fs.OpKind
+	entry int // the mount filer
+	v     *volume
+	// path and other are in-volume paths (other: see namespace.Apply).
+	path, other string
+	svc         time.Duration
+	written     int64 // OpWrite
+
+	err  error
+	attr fs.Attr
+	ents []fs.DirEntry
+}
+
+// dispatch issues the client's request r, entering the cluster at the
+// node's mount filer.
+func (c *client) dispatch(r req) *req {
+	f := c.fsys
+	c.r = r
+	c.r.fsys, c.r.entry = f, f.mountFiler(c.node)
+	f.conn(c.node, c.r.entry).Call(c.p, 180, 160, &c.r)
+	return &c.r
+}
+
+// Serve runs the request at its D-blade. A request whose volume lives
+// elsewhere pays the forwarding penalty: extra N-blade CPU on both
+// filers, the cluster interconnect round trip, and thread occupancy on
+// the owner.
+func (r *req) Serve(sp *sim.Proc) {
+	f, cfg := r.fsys, &r.fsys.cfg
+	sp.Sleep(cfg.NBladeService)
+	f.rpcs++
+	if r.v.owner == r.entry {
+		r.dblade(sp)
+		return
+	}
+	// Forwarded path: translate, hop, queue at the owner.
+	f.ForwardCount++
+	sp.Sleep(cfg.ForwardOverhead)
+	sp.Sleep(cfg.ClusterLatency)
+	owner := f.filers[r.v.owner]
+	owner.srv.Threads.Acquire(sp)
+	sp.Sleep(cfg.ForwardOverhead)
+	r.dblade(sp)
+	owner.srv.Threads.Release()
+	sp.Sleep(cfg.ClusterLatency)
+}
+
+// dblade is the owning D-blade's share of the request.
+func (r *req) dblade(sp *sim.Proc) {
+	f, v := r.fsys, r.v
+	owner := f.filers[v.owner]
+	switch r.op {
+	case fs.OpStat:
+		sp.Sleep(time.Duration(float64(f.cfg.GetattrService) * owner.wafl.ServiceFactor()))
+		r.attr, r.err = v.ns.Stat(r.path)
+	case fs.OpReadDir:
+		r.ents, r.err = v.ns.ReadDir(r.path, sp.Now())
+		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(r.ents))*time.Microsecond)
+	case fs.OpWrite:
+		sp.Sleep(time.Duration(float64(30*time.Microsecond) * float64(r.written) / 1024 * owner.wafl.ServiceFactor()))
+		if node, err := v.ns.Lookup(r.path); err == nil {
+			v.ns.SetSize(node.Ino, node.Size+r.written, sp.Now())
+		}
+		owner.wafl.LogMetadata(sp, 320+r.written)
+	default:
+		if dir, lerr := v.ns.Lookup(fs.ParentDir(r.path)); lerr == nil {
+			lock := v.dirLock(f.k, dir.Ino)
+			lock.Lock(sp)
+			defer lock.Unlock()
+			t := float64(r.svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren()) * owner.wafl.ServiceFactor()
+			sp.Sleep(time.Duration(t))
+		} else {
+			sp.Sleep(r.svc)
+		}
+		r.err = v.ns.Apply(r.op, r.path, r.other, sp.Now())
+		if r.err == nil {
+			owner.wafl.LogMetadata(sp, 320)
+		}
+	}
+}
+
+// modify runs one namespace-changing request against the owning D-blade;
+// other is the second in-volume name (namespace.Apply).
+func (c *client) modify(op fs.OpKind, p, other string, svc time.Duration) error {
 	f := c.fsys
 	c.node.Syscall(c.p)
-	v, sub, err := f.resolve(op, p)
+	v, sub, err := f.resolve(op.String(), p)
 	if err != nil {
 		return err
 	}
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
-	owner := f.filers[v.owner]
-	f.dispatch(c.p, c.node, v, func(sp *sim.Proc) {
-		if dir, lerr := v.ns.Lookup(fs.ParentDir(sub)); lerr == nil {
-			lock := v.dirLock(f.k, dir.Ino)
-			lock.Lock(sp)
-			defer lock.Unlock()
-			t := float64(svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren()) * owner.wafl.ServiceFactor()
-			sp.Sleep(time.Duration(t))
-		} else {
-			sp.Sleep(svc)
-		}
-		err = apply(sp, v, sub)
-		if err == nil {
-			owner.wafl.LogMetadata(sp, 320)
-		}
-	})
-	return err
+	return c.dispatch(req{op: op, v: v, path: sub, other: other, svc: svc}).err
 }
 
 // Create makes a file in the owning volume.
 func (c *client) Create(p string) error {
-	err := c.modify("create", p, c.fsys.cfg.CreateService, func(sp *sim.Proc, v *volume, sub string) error {
-		_, e := v.ns.Create(sub, 0o644, sp.Now())
-		return e
-	})
-	if err != nil {
+	if err := c.modify(fs.OpCreate, p, "", c.fsys.cfg.CreateService); err != nil {
 		return err
 	}
 	if v, sub, e := c.fsys.resolve("create", p); e == nil {
@@ -378,39 +421,24 @@ func (c *client) Fsync(h fs.Handle) error {
 }
 
 func (c *client) flush(of *openFile) {
-	f := c.fsys
-	owner := f.filers[of.vol.owner]
-	f.dispatch(c.p, c.node, of.vol, func(sp *sim.Proc) {
-		sp.Sleep(time.Duration(float64(30*time.Microsecond) * float64(of.written) / 1024 * owner.wafl.ServiceFactor()))
-		if node, err := of.vol.ns.Lookup(of.sub); err == nil {
-			of.vol.ns.SetSize(node.Ino, node.Size+of.written, sp.Now())
-		}
-		owner.wafl.LogMetadata(sp, 320+of.written)
-	})
+	c.dispatch(req{op: fs.OpWrite, v: of.vol, path: of.sub, written: of.written})
 	of.written = 0
 	of.dirty = false
 }
 
 // Mkdir creates a directory in the owning volume.
 func (c *client) Mkdir(p string) error {
-	return c.modify("mkdir", p, c.fsys.cfg.MkdirService, func(sp *sim.Proc, v *volume, sub string) error {
-		_, e := v.ns.Mkdir(sub, 0o755, sp.Now())
-		return e
-	})
+	return c.modify(fs.OpMkdir, p, "", c.fsys.cfg.MkdirService)
 }
 
 // Rmdir removes a directory.
 func (c *client) Rmdir(p string) error {
-	return c.modify("rmdir", p, c.fsys.cfg.RemoveService, func(sp *sim.Proc, v *volume, sub string) error {
-		return v.ns.Rmdir(sub, sp.Now())
-	})
+	return c.modify(fs.OpRmdir, p, "", c.fsys.cfg.RemoveService)
 }
 
 // Unlink removes a file.
 func (c *client) Unlink(p string) error {
-	err := c.modify("unlink", p, c.fsys.cfg.RemoveService, func(sp *sim.Proc, v *volume, sub string) error {
-		return v.ns.Unlink(sub, sp.Now())
-	})
+	err := c.modify(fs.OpUnlink, p, "", c.fsys.cfg.RemoveService)
 	if err == nil {
 		st := c.fsys.nodeState(c.node)
 		st.attrs.Invalidate(p)
@@ -423,7 +451,7 @@ func (c *client) Unlink(p string) error {
 // systems, a cross-volume rename returns EXDEV (§2.6.3).
 func (c *client) Rename(oldPath, newPath string) error {
 	f := c.fsys
-	vOld, subOld, err := f.resolve("rename", oldPath)
+	vOld, _, err := f.resolve("rename", oldPath)
 	if err != nil {
 		return err
 	}
@@ -434,9 +462,7 @@ func (c *client) Rename(oldPath, newPath string) error {
 	if vOld != vNew {
 		return fs.NewError("rename", newPath, fs.EXDEV)
 	}
-	err = c.modify("rename", oldPath, f.cfg.RenameService, func(sp *sim.Proc, v *volume, _ string) error {
-		return v.ns.Rename(subOld, subNew, sp.Now())
-	})
+	err = c.modify(fs.OpRename, oldPath, subNew, f.cfg.RenameService)
 	if err == nil {
 		st := f.nodeState(c.node)
 		st.attrs.Invalidate(oldPath)
@@ -454,24 +480,19 @@ func (c *client) Link(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	vNew, subNew, err := f.resolve("link", newPath)
+	vNew, _, err := f.resolve("link", newPath)
 	if err != nil {
 		return err
 	}
 	if vOld != vNew {
 		return fs.NewError("link", newPath, fs.EXDEV)
 	}
-	return c.modify("link", newPath, f.cfg.CreateService, func(sp *sim.Proc, v *volume, _ string) error {
-		return v.ns.Link(subOld, subNew, sp.Now())
-	})
+	return c.modify(fs.OpLink, newPath, subOld, f.cfg.CreateService)
 }
 
 // Symlink creates a symbolic link in the owning volume.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.modify("symlink", linkPath, c.fsys.cfg.CreateService, func(sp *sim.Proc, v *volume, sub string) error {
-		_, e := v.ns.Symlink(target, sub, sp.Now())
-		return e
-	})
+	return c.modify(fs.OpSymlink, linkPath, target, c.fsys.cfg.CreateService)
 }
 
 // Stat serves from the attribute cache or issues a GETATTR through the
@@ -487,18 +508,13 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if err != nil {
 		return fs.Attr{}, err
 	}
-	var a fs.Attr
-	owner := f.filers[v.owner]
-	f.dispatch(c.p, c.node, v, func(sp *sim.Proc) {
-		sp.Sleep(time.Duration(float64(f.cfg.GetattrService) * owner.wafl.ServiceFactor()))
-		a, err = v.ns.Stat(sub)
-	})
-	if err != nil {
-		return fs.Attr{}, err
+	r := c.dispatch(req{op: fs.OpStat, v: v, path: sub})
+	if r.err != nil {
+		return fs.Attr{}, r.err
 	}
-	st.attrs.Put(p, a)
-	st.dentries.PutPositive(p, a.Ino)
-	return a, nil
+	st.attrs.Put(p, r.attr)
+	st.dentries.PutPositive(p, r.attr.Ino)
+	return r.attr, nil
 }
 
 // ReadDir lists a directory in the owning volume; the cluster root lists
@@ -518,12 +534,10 @@ func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ents []fs.DirEntry
-	f.dispatch(c.p, c.node, v, func(sp *sim.Proc) {
-		ents, err = v.ns.ReadDir(sub, sp.Now())
-		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(ents))*time.Microsecond)
-	})
-	return ents, err
+	r := c.dispatch(req{op: fs.OpReadDir, v: v, path: sub})
+	ents := r.ents
+	r.ents = nil // the caller owns the slice
+	return ents, r.err
 }
 
 // DropCaches clears the node's caches.

@@ -69,6 +69,18 @@ type FS struct {
 	conns    map[connKey]*simnet.Conn
 	dirLocks map[fs.Ino]*sim.Mutex
 	rpcs     int64
+	// metafile is the body of a create's second round trip.
+	metafile metafileCreate
+}
+
+// metafileCreate is the metadata-object create at a file's own server,
+// the second round trip of a PVFS2 create (the dirent + metafile split).
+type metafileCreate struct{ f *FS }
+
+// Serve charges the object create.
+func (m *metafileCreate) Serve(sp *sim.Proc) {
+	sp.Sleep(m.f.cfg.CreateService / 2)
+	m.f.rpcs++
 }
 
 type connKey struct {
@@ -88,6 +100,7 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		conns:    make(map[connKey]*simnet.Conn),
 		dirLocks: make(map[fs.Ino]*sim.Mutex),
 	}
+	f.metafile.f = f
 	for i := 0; i < cfg.Servers; i++ {
 		f.servers = append(f.servers,
 			simnet.NewServer(k, fmt.Sprintf("pvfs%d:%s", i, name), cfg.ServerThreads))
@@ -142,46 +155,88 @@ type client struct {
 	p       *sim.Proc
 	nextFH  fs.Handle
 	handles map[fs.Handle]string
+	// r is the client's one in-flight RPC, reused (a client issues one
+	// synchronous RPC at a time).
+	r req
+}
+
+// req is one PVFS2 server operation; Serve runs it at the server and
+// writes the results back.
+type req struct {
+	fsys        *FS
+	op          fs.OpKind
+	path, other string // other: see namespace.Apply
+	svc         time.Duration
+	n           int64 // bytes written (OpWrite)
+
+	err  error
+	attr fs.Attr
+	ents []fs.DirEntry
+}
+
+// Serve runs the operation at its server.
+func (r *req) Serve(sp *sim.Proc) {
+	f := r.fsys
+	switch r.op {
+	case fs.OpStat:
+		sp.Sleep(f.cfg.GetattrService)
+		f.rpcs++
+		r.attr, r.err = f.ns.Stat(r.path)
+	case fs.OpReadDir:
+		r.ents, r.err = f.ns.ReadDir(r.path, sp.Now())
+		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(r.ents))*time.Microsecond)
+		f.rpcs++
+	case fs.OpWrite:
+		sp.Sleep(time.Duration(float64(f.cfg.WriteServicePerKB) * float64(r.n) / 1024))
+		f.rpcs++
+		node, lerr := f.ns.Lookup(r.path)
+		if lerr != nil {
+			r.err = lerr
+			return
+		}
+		r.err = f.ns.SetSize(node.Ino, node.Size+r.n, sp.Now())
+	default:
+		// A namespace change, at the server owning the parent directory,
+		// with directory-size scaled service time.
+		if dir, lerr := f.ns.Lookup(fs.ParentDir(r.path)); lerr == nil {
+			lock := f.dirLock(dir.Ino)
+			lock.Lock(sp)
+			defer lock.Unlock()
+			sp.Sleep(time.Duration(float64(r.svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
+		} else {
+			sp.Sleep(r.svc)
+		}
+		f.rpcs++
+		r.err = f.ns.Apply(r.op, r.path, r.other, sp.Now())
+	}
+}
+
+// call issues op on p (writing n bytes) to p's server.
+func (c *client) call(op fs.OpKind, p string, n, reqBytes, respBytes int64) *req {
+	f := c.fsys
+	c.r = req{fsys: f, op: op, path: p, n: n}
+	f.conn(c.node, f.serverFor(p)).Call(c.p, reqBytes, respBytes, &c.r)
+	return &c.r
 }
 
 // dirOp runs a namespace-changing operation at the server owning the
 // parent directory, with directory-size scaled service time.
-func (c *client) dirOp(p string, svc time.Duration, apply func(sp *sim.Proc) error) error {
+func (c *client) dirOp(op fs.OpKind, p, other string, svc time.Duration) error {
 	f := c.fsys
 	c.node.Syscall(c.p)
-	srv := f.serverFor(fs.ParentDir(p))
-	var err error
-	f.conn(c.node, srv).Call(c.p, 180, 150, func(sp *sim.Proc) {
-		if dir, lerr := f.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-			lock := f.dirLock(dir.Ino)
-			lock.Lock(sp)
-			defer lock.Unlock()
-			sp.Sleep(time.Duration(float64(svc) * f.cfg.DirIndex.EntryCost(dir.NumChildren())))
-		} else {
-			sp.Sleep(svc)
-		}
-		f.rpcs++
-		err = apply(sp)
-	})
-	return err
+	c.r = req{fsys: f, op: op, path: p, other: other, svc: svc}
+	f.conn(c.node, f.serverFor(fs.ParentDir(p))).Call(c.p, 180, 150, &c.r)
+	return c.r.err
 }
 
 // Create makes a file: a directory-server operation plus a metadata
 // object create at the file's own server (two round trips, like the
 // dirent + metafile split in PVFS2).
 func (c *client) Create(p string) error {
-	err := c.dirOp(p, c.fsys.cfg.CreateService, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Create(p, 0o644, sp.Now())
-		return e
-	})
-	if err != nil {
+	if err := c.dirOp(fs.OpCreate, p, "", c.fsys.cfg.CreateService); err != nil {
 		return err
 	}
-	srv := c.fsys.serverFor(p)
-	c.fsys.conn(c.node, srv).Call(c.p, 150, 150, func(sp *sim.Proc) {
-		sp.Sleep(c.fsys.cfg.CreateService / 2)
-		c.fsys.rpcs++
-	})
+	c.fsys.conn(c.node, c.fsys.serverFor(p)).Call(c.p, 150, 150, &c.fsys.metafile)
 	return nil
 }
 
@@ -213,20 +268,7 @@ func (c *client) Write(h fs.Handle, n int64) error {
 	if !ok {
 		return fs.NewError("write", "", fs.EBADF)
 	}
-	f := c.fsys
-	srv := f.serverFor(p)
-	var err error
-	f.conn(c.node, srv).Call(c.p, 150+n, 150, func(sp *sim.Proc) {
-		sp.Sleep(time.Duration(float64(f.cfg.WriteServicePerKB) * float64(n) / 1024))
-		f.rpcs++
-		node, lerr := f.ns.Lookup(p)
-		if lerr != nil {
-			err = lerr
-			return
-		}
-		err = f.ns.SetSize(node.Ino, node.Size+n, sp.Now())
-	})
-	return err
+	return c.call(fs.OpWrite, p, n, 150+n, 150).err
 }
 
 // Fsync is a no-op: every write was already synchronous.
@@ -240,77 +282,49 @@ func (c *client) Fsync(h fs.Handle) error {
 
 // Mkdir creates a directory at the parent's server.
 func (c *client) Mkdir(p string) error {
-	return c.dirOp(p, c.fsys.cfg.MkdirService, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Mkdir(p, 0o755, sp.Now())
-		return e
-	})
+	return c.dirOp(fs.OpMkdir, p, "", c.fsys.cfg.MkdirService)
 }
 
 // Rmdir removes a directory.
 func (c *client) Rmdir(p string) error {
-	return c.dirOp(p, c.fsys.cfg.RemoveService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Rmdir(p, sp.Now())
-	})
+	return c.dirOp(fs.OpRmdir, p, "", c.fsys.cfg.RemoveService)
 }
 
 // Unlink removes a file.
 func (c *client) Unlink(p string) error {
-	return c.dirOp(p, c.fsys.cfg.RemoveService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Unlink(p, sp.Now())
-	})
+	return c.dirOp(fs.OpUnlink, p, "", c.fsys.cfg.RemoveService)
 }
 
 // Rename moves an entry (atomic at the directory server; the thesis
 // notes PVFS2 serializes this through the owning server).
 func (c *client) Rename(oldPath, newPath string) error {
-	return c.dirOp(oldPath, c.fsys.cfg.RenameService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Rename(oldPath, newPath, sp.Now())
-	})
+	return c.dirOp(fs.OpRename, oldPath, newPath, c.fsys.cfg.RenameService)
 }
 
 // Link creates a hardlink.
 func (c *client) Link(oldPath, newPath string) error {
-	return c.dirOp(newPath, c.fsys.cfg.CreateService, func(sp *sim.Proc) error {
-		return c.fsys.ns.Link(oldPath, newPath, sp.Now())
-	})
+	return c.dirOp(fs.OpLink, newPath, oldPath, c.fsys.cfg.CreateService)
 }
 
 // Symlink creates a symbolic link.
 func (c *client) Symlink(target, linkPath string) error {
-	return c.dirOp(linkPath, c.fsys.cfg.CreateService, func(sp *sim.Proc) error {
-		_, e := c.fsys.ns.Symlink(target, linkPath, sp.Now())
-		return e
-	})
+	return c.dirOp(fs.OpSymlink, linkPath, target, c.fsys.cfg.CreateService)
 }
 
 // Stat always asks the file's server: PVFS2 clients cache nothing.
 func (c *client) Stat(p string) (fs.Attr, error) {
-	f := c.fsys
 	c.node.Syscall(c.p)
-	srv := f.serverFor(p)
-	var a fs.Attr
-	var err error
-	f.conn(c.node, srv).Call(c.p, 150, 170, func(sp *sim.Proc) {
-		sp.Sleep(f.cfg.GetattrService)
-		f.rpcs++
-		a, err = f.ns.Stat(p)
-	})
-	return a, err
+	r := c.call(fs.OpStat, p, 0, 150, 170)
+	return r.attr, r.err
 }
 
 // ReadDir lists a directory at its server.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
-	f := c.fsys
 	c.node.Syscall(c.p)
-	srv := f.serverFor(p)
-	var ents []fs.DirEntry
-	var err error
-	f.conn(c.node, srv).Call(c.p, 150, 300, func(sp *sim.Proc) {
-		ents, err = f.ns.ReadDir(p, sp.Now())
-		sp.Sleep(f.cfg.ReaddirService + time.Duration(len(ents))*time.Microsecond)
-		f.rpcs++
-	})
-	return ents, err
+	r := c.call(fs.OpReadDir, p, 0, 150, 300)
+	ents := r.ents
+	r.ents = nil // the caller owns the slice
+	return ents, r.err
 }
 
 // DropCaches is trivially a no-op: there is no client cache.

@@ -154,12 +154,12 @@ func (f *FS) cbDeliver(p *sim.Proc, st *nodeState, inval func()) {
 	if !f.domained() {
 		apply = nil
 	}
-	st.cbConn.CallDom(p, 90, 60, func(q *sim.Proc) {
+	st.cbConn.Call(p, 90, 60, simnet.BodyFunc(func(q *sim.Proc) {
 		if apply != nil {
 			apply()
 		}
 		q.Sleep(svc)
-	})
+	}))
 }
 
 // grant issues (or refreshes) a read lease on path to the node behind
@@ -176,19 +176,10 @@ func (f *FS) cbDeliver(p *sim.Proc, st *nodeState, inval func()) {
 func (f *FS) grant(p *sim.Proc, st *nodeState, path string, a fs.Attr) {
 	if a.Type == fs.TypeDirectory && f.cfg.Delegations {
 		if cs := f.contentSlice(path); cs >= 0 {
-			f.withLeaseSlice(p, cs, func(q *sim.Proc) {
-				if holder, ok := f.leases[cs].deleg[path]; ok && holder != st {
-					addI64(&f.DelegationRecalls, 1)
-					f.callback(q, holder, path)
-					delete(f.leases[cs].deleg, path)
-				}
-			})
+			f.withLeaseSlice(p, leaseOp{kind: leaseRecall, slice: cs, st: st, path: path})
 		}
 	}
-	slice := f.ownerSlice(path)
-	f.withLeaseSlice(p, slice, func(q *sim.Proc) {
-		f.grantAt(q, st, path, a, slice)
-	})
+	f.withLeaseSlice(p, leaseOp{kind: leaseIssue, slice: f.ownerSlice(path), st: st, path: path, a: a})
 }
 
 // grantAt records the grant in slice's table; the caller must already
@@ -289,9 +280,7 @@ func (f *FS) dropDelegation(p *sim.Proc, dir string) {
 		return
 	}
 	if cs := f.contentSlice(dir); cs >= 0 {
-		f.withLeaseSlice(p, cs, func(q *sim.Proc) {
-			delete(f.leases[cs].deleg, dir)
-		})
+		f.withLeaseSlice(p, leaseOp{kind: leaseUndeleg, slice: cs, path: dir})
 	}
 }
 
@@ -367,9 +356,7 @@ func (f *FS) revokeOnMutate(p *sim.Proc, mutator *nodeState, path string, withPa
 	if f.cfg.CacheMode != CacheLease {
 		return
 	}
-	f.withLeaseSlice(p, f.ownerSlice(path), func(q *sim.Proc) {
-		f.revokePath(q, mutator, path)
-	})
+	f.withLeaseSlice(p, leaseOp{kind: leaseRevoke, slice: f.ownerSlice(path), st: mutator, path: path})
 	if !withParent {
 		return
 	}
@@ -377,18 +364,11 @@ func (f *FS) revokeOnMutate(p *sim.Proc, mutator *nodeState, path string, withPa
 	if dir == "." || dir == path {
 		return
 	}
-	covered := false
-	if cs := f.contentSlice(dir); f.cfg.Delegations && cs >= 0 {
-		f.withLeaseSlice(p, cs, func(q *sim.Proc) {
-			covered = f.dirCovered(q, mutator, dir)
-		})
-	}
-	if covered {
+	if cs := f.contentSlice(dir); f.cfg.Delegations && cs >= 0 &&
+		f.withLeaseSlice(p, leaseOp{kind: leaseCover, slice: cs, st: mutator, path: dir}) {
 		return
 	}
-	f.withLeaseSlice(p, f.ownerSlice(dir), func(q *sim.Proc) {
-		f.revokePath(q, mutator, dir)
-	})
+	f.withLeaseSlice(p, leaseOp{kind: leaseRevoke, slice: f.ownerSlice(dir), st: mutator, path: dir})
 }
 
 // noteStale is the staleness instrument of E22–E24: with
@@ -497,46 +477,49 @@ func (c *client) dropEntry(p string) {
 // falls back to the merged ReadDir plus cached per-entry Stats.
 func (c *client) ReadDirPlus(p string) ([]fs.DirEntry, []fs.Attr, error) {
 	f := c.fsys
-	cfg := c.cfg()
 	if f.splitActive() {
 		// Like ReadDir: the fan-out reads the split level at service
 		// time, closing the queued-request race with a concurrent
 		// split.
-		return c.splitReadDirPlus(p)
+		return c.fanoutCall(rpcReadDirPlusSplit, p, 140, 320)
 	}
 	slice := f.contentSlice(p)
 	if slice < 0 {
 		return fs.StatEntries(c, p)
 	}
 	c.node.Syscall(c.p)
-	var ents []fs.DirEntry
-	var attrs []fs.Attr
-	var err error
-	cerr := c.call("readdirplus", p, slice, 140, 320, func(sp *sim.Proc, state, srv *shardSrv) {
-		ents, err = state.ns.ReadDir(p, sp.Now())
-		if err != nil {
-			f.serviceOp(sp, srv, cfg.ReaddirService, -1, scanInfo())
-			return
-		}
-		f.serviceOp(sp, srv, readdirCost(cfg, len(ents))+
-			time.Duration(len(ents))*cfg.ReaddirPlusPerEntry, -1, scanInfo())
-		attrs = make([]fs.Attr, len(ents))
-		for i, e := range ents {
-			node := state.ns.Get(e.Ino)
-			if node == nil {
-				continue
-			}
-			attrs[i] = node.Attr()
-			c.fillEntry(sp, childPath(p, e.Name), attrs[i])
-		}
-	})
-	if cerr != nil {
+	r := c.begin(rpcReadDirPlus, p, 0)
+	if cerr := c.call(r, slice, 140, 320); cerr != nil {
 		return nil, nil, cerr
 	}
-	if err != nil {
-		return nil, nil, err
+	if r.err != nil {
+		return nil, nil, r.err
 	}
+	ents, attrs := r.ents, r.attrs
+	r.ents, r.attrs = nil, nil // the caller owns the slices
 	return ents, attrs, nil
+}
+
+// readDirPlus is ReadDirPlus's body.
+func (r *req) readDirPlus(sp *sim.Proc) {
+	f, state, p := r.c.fsys, r.state, r.path
+	cfg := &f.cfg
+	r.ents, r.err = state.ns.ReadDir(p, sp.Now())
+	if r.err != nil {
+		f.serviceOp(sp, r.srv, cfg.ReaddirService, -1, scanInfo())
+		return
+	}
+	f.serviceOp(sp, r.srv, readdirCost(cfg, len(r.ents))+
+		time.Duration(len(r.ents))*cfg.ReaddirPlusPerEntry, -1, scanInfo())
+	r.attrs = make([]fs.Attr, len(r.ents))
+	for i, e := range r.ents {
+		node := state.ns.Get(e.Ino)
+		if node == nil {
+			continue
+		}
+		r.attrs[i] = node.Attr()
+		r.c.fillEntry(sp, childPath(p, e.Name), r.attrs[i])
+	}
 }
 
 // childPath joins a clean directory path and an entry name.

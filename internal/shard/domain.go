@@ -33,7 +33,9 @@ package shard
 //     real hop where the single-kernel model let it "proxy" for free.
 //     The same rule routes lease-table operations whose owner slice is
 //     not the executing slice (withLeaseSlice): a distributed lock
-//     manager pays messages between servers.
+//     manager pays messages between servers. Both carry their work as
+//     typed values (steps, lease ops), so only the forwarding branch
+//     builds a closure.
 //
 // With Domains <= 1 none of this engages: every helper degrades to the
 // exact single-kernel code path, byte for byte.
@@ -91,34 +93,81 @@ func (f *FS) peerLeg(sp *sim.Proc, ps *shardSrv, name string, body func(q *sim.P
 	sp.Sleep(f.cfg.CrossShardLatency)
 }
 
-// applyState runs fn against slice state at the commit instant. When
-// the slice's owning domain is not the executing one — a split or a
-// failback re-homed it while this request sat in a queue or paid its
-// service charge — the contacted server forwards the work to the
-// current owner over the interconnect: fn then runs in the owner's
-// domain on its peer pool, with at set to the owning server and fwd
-// true. Undomained (and in the common domained case where ownership
-// did not move) fn runs inline with at = srv, exactly the legacy
-// proxying path.
-func (f *FS) applyState(sp *sim.Proc, state, srv *shardSrv, fn func(q *sim.Proc, at *shardSrv, fwd bool)) {
+// applyState runs step s against slice state. When the slice's owning
+// domain is not the executing one — a split or a failback re-homed it
+// while this request sat in a queue or paid its service charge — the
+// contacted server forwards the work to the current owner over the
+// interconnect: s then runs in the owner's domain on its peer pool,
+// with at set to the owning server. Undomained (and in the common
+// domained case where ownership did not move) s runs inline with
+// at = srv, exactly the single-kernel proxying path. The forwarding
+// closure is built only on the branch that forwards.
+func (f *FS) applyState(sp *sim.Proc, state, srv *shardSrv, s step) {
 	if f.domained() && f.sliceKernel(state.index) != sp.Kernel() {
 		own := f.srvFor(state.index)
-		f.hop(sp, own, func(q *sim.Proc) { fn(q, own, true) })
+		f.hop(sp, own, func(q *sim.Proc) { s.run(q, own) })
 		return
 	}
-	fn(sp, srv, false)
+	s.run(sp, srv)
 }
 
-// withLeaseSlice runs fn in the domain owning slice s's lease table,
+// leaseOp is one operation on a slice's lease table, carried as a value
+// so withLeaseSlice can run it where the table lives.
+type leaseOp struct {
+	kind  leaseKind
+	slice int
+	// st is the client node: the mutator, the grantee, or the would-be
+	// delegation holder.
+	st   *nodeState
+	path string
+	a    fs.Attr // leaseIssue: the attributes granted
+}
+
+type leaseKind uint8
+
+const (
+	leaseRevoke  leaseKind = iota // revokePath(path), sparing st's silent drop
+	leaseCover                    // dirCovered: the write-delegation protocol
+	leaseRecall                   // recall another node's delegation on path
+	leaseIssue                    // grantAt
+	leaseUndeleg                  // forget path's delegation
+)
+
+// withLeaseSlice runs op in the domain owning its slice's lease table,
 // forwarding over the interconnect when the caller executes elsewhere —
 // cross-server lease management costs a message, the way a distributed
-// lock manager's does. Undomained it is a direct call.
-func (f *FS) withLeaseSlice(p *sim.Proc, s int, fn func(q *sim.Proc)) {
-	if f.domained() && f.sliceKernel(s) != p.Kernel() {
-		f.hop(p, f.srvFor(s), fn)
-		return
+// lock manager's does. Undomained it is a direct call, and only the
+// forwarding branch copies op into a closure. It reports dirCovered's
+// answer for leaseCover.
+func (f *FS) withLeaseSlice(p *sim.Proc, op leaseOp) bool {
+	if f.domained() && f.sliceKernel(op.slice) != p.Kernel() {
+		fwd, covered := op, false
+		f.hop(p, f.srvFor(op.slice), func(q *sim.Proc) { covered = f.runLease(q, fwd) })
+		return covered
 	}
-	fn(p)
+	return f.runLease(p, op)
+}
+
+// runLease performs op; the caller executes in the owning domain.
+func (f *FS) runLease(q *sim.Proc, op leaseOp) bool {
+	t := f.leases[op.slice]
+	switch op.kind {
+	case leaseRevoke:
+		f.revokePath(q, op.st, op.path)
+	case leaseCover:
+		return f.dirCovered(q, op.st, op.path)
+	case leaseRecall:
+		if holder, ok := t.deleg[op.path]; ok && holder != op.st {
+			addI64(&f.DelegationRecalls, 1)
+			f.callback(q, holder, op.path)
+			delete(t.deleg, op.path)
+		}
+	case leaseIssue:
+		f.grantAt(q, op.st, op.path, op.a, op.slice)
+	case leaseUndeleg:
+		delete(t.deleg, op.path)
+	}
+	return false
 }
 
 // persistAt is persist, except that work forwarded onto a peer pool

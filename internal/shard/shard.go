@@ -332,6 +332,9 @@ type shardSrv struct {
 	// checkpoint; its length prices takeover and restart replay.
 	journal     []journalRec
 	checkpoints int64
+
+	// Process names of this server's interconnect legs, built once.
+	hopName, mirrorName, gcMirrorName, gcName, bapplyName string
 }
 
 // journalAppend records one mutation, truncating at the checkpoint cap.
@@ -495,6 +498,7 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 	for i := 0; i < cfg.NumShards; i++ {
 		id := name + "-" + strconv.Itoa(i)
 		sk := f.kFor(i)
+		n := strconv.Itoa(i)
 		sh := &shardSrv{
 			index: i,
 			srv:   simnet.NewServer(sk, "mds:"+id, cfg.ShardThreads),
@@ -503,6 +507,12 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 			ns:    namespace.New(),
 			locks: make(map[fs.Ino]*sim.Mutex),
 			up:    true,
+
+			hopName:      "hop:" + n,
+			mirrorName:   "mirror:" + n,
+			gcMirrorName: "gcmirror:" + n,
+			gcName:       "groupcommit:" + n,
+			bapplyName:   "bapply:" + n,
 		}
 		sh.be = newBackend(f, sh)
 		f.shards = append(f.shards, sh)
@@ -916,7 +926,7 @@ func scanInfo() opInfo { return opInfo{cls: opScan, dirSize: -1} }
 // trip into a cross-domain rendezvous with identical virtual-time cost.
 func (f *FS) hop(sp *sim.Proc, dst *shardSrv, body func(q *sim.Proc)) {
 	addI64(&f.CrossCount, 1)
-	f.peerLeg(sp, dst, "hop:"+strconv.Itoa(dst.index), body)
+	f.peerLeg(sp, dst, dst.hopName, body)
 }
 
 // commit journals one successful mutation on slice state and, with
@@ -934,7 +944,7 @@ func (f *FS) commit(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path str
 	}
 	ps := f.shards[partner]
 	addI64(&f.MirrorCount, 1)
-	f.peerLeg(sp, ps, "mirror:"+strconv.Itoa(ps.index), func(q *sim.Proc) {
+	f.peerLeg(sp, ps, ps.mirrorName, func(q *sim.Proc) {
 		f.chargeOp(q, ps, f.cfg.MirrorService, -1, opInfo{cls: opWrite, dirSize: -1})
 		ps.be.log(q, f.cfg.MetaLogBytes)
 	})
@@ -1000,7 +1010,7 @@ func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path st
 	// The batch condition lives on the executing kernel: under domains
 	// a server's batches belong to its own domain (only its service
 	// bodies ever join them).
-	b := &gcBatch{done: sim.NewCond(sp.Kernel(), "groupcommit:"+strconv.Itoa(srv.index))}
+	b := &gcBatch{done: sim.NewCond(sp.Kernel(), srv.gcName)}
 	srv.gc = b
 	b.add(logBytes, partner)
 	addI64(&f.GroupCommits, 1)
@@ -1014,7 +1024,7 @@ func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path st
 		}
 		addI64(&f.MirrorCount, 1)
 		count := m.count
-		f.peerLeg(sp, ps, "gcmirror:"+strconv.Itoa(ps.index), func(q *sim.Proc) {
+		f.peerLeg(sp, ps, ps.gcMirrorName, func(q *sim.Proc) {
 			f.chargeOp(q, ps, time.Duration(count)*f.cfg.MirrorService, -1, opInfo{cls: opWrite, dirSize: -1})
 			ps.be.log(q, count*f.cfg.MetaLogBytes)
 		})
@@ -1023,8 +1033,10 @@ func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path st
 	b.done.Broadcast()
 }
 
-// replicate propagates a successful directory mutation to every other
-// shard (hash placement keeps the directory tree replicated). The state
+// replicate propagates a successful directory mutation (OpMkdir or
+// OpRmdir of path) to every other shard (hash placement keeps the
+// directory tree replicated); each replica applies it with
+// namespace.Apply, ignoring the outcome. The state
 // change commits on all replicas at the primary's apply time — the
 // mutation is atomic across shards, like a transactional metadata
 // store, so a concurrent request routed to a replica can never observe
@@ -1041,7 +1053,7 @@ func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path st
 // own change immediately — its reply travels the slower client path
 // (OneWayLatency > CrossShardLatency + CrossShardOverhead), so every
 // replica has applied before the client can look.
-func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply func(ns *namespace.Namespace, now time.Duration)) {
+func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, kind fs.OpKind, path string) {
 	if f.cfg.Placement != PlaceHashDir || len(f.shards) == 1 {
 		return
 	}
@@ -1054,18 +1066,18 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply
 			sh := sh
 			if sh.up {
 				f.hop(sp, sh, func(q *sim.Proc) {
-					apply(sh.ns, q.Now())
+					sh.ns.Apply(kind, path, "", q.Now())
 					f.chargeOp(q, sh, svc, -1, opInfo{cls: opWrite, dirSize: -1})
 					sh.be.log(q, f.cfg.MetaLogBytes)
 				})
 				continue
 			}
 			if dk := f.sliceKernel(sh.index); dk != sp.Kernel() {
-				sim.Post(sp, dk, f.cfg.CrossShardLatency, "bapply:"+strconv.Itoa(sh.index), func(q *sim.Proc) {
-					apply(sh.ns, q.Now())
+				sim.Post(sp, dk, f.cfg.CrossShardLatency, sh.bapplyName, func(q *sim.Proc) {
+					sh.ns.Apply(kind, path, "", q.Now())
 				})
 			} else {
-				apply(sh.ns, sp.Now())
+				sh.ns.Apply(kind, path, "", sp.Now())
 			}
 		}
 		return
@@ -1073,7 +1085,7 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply
 	now := sp.Now()
 	for _, sh := range f.shards {
 		if sh != primary {
-			apply(sh.ns, now)
+			sh.ns.Apply(kind, path, "", now)
 		}
 	}
 	for _, sh := range f.shards {
@@ -1093,7 +1105,9 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, apply
 // cached on the client, so service bodies running in shard domains
 // never touch the shared nodes map.
 func (f *FS) NewClient(node *cluster.Node, p *sim.Proc) fs.Client {
-	return &client{fsys: f, node: node, p: p, state: f.nodeState(node), handles: make(map[fs.Handle]*openFile)}
+	c := &client{fsys: f, node: node, p: p, state: f.nodeState(node), handles: make(map[fs.Handle]*openFile)}
+	c.misroute.f = f
+	return c
 }
 
 type openFile struct {
@@ -1112,13 +1126,14 @@ type client struct {
 	state   *nodeState
 	nextFH  fs.Handle
 	handles map[fs.Handle]*openFile
+	// r is the client's one in-flight RPC (see req); misroute is the
+	// body of a split-bitmap bounce, which precedes r's own RPC.
+	r        req
+	misroute bounce
 }
 
 // cfg returns the FS config by pointer: the config is immutable after
-// New, and a pointer keeps the 500-byte struct out of every escaping
-// service closure (a by-reference capture of the value would heap-box
-// it once per client op, even on cache-hit paths that never issue the
-// RPC).
+// New, and a pointer avoids copying the 500-byte struct per call.
 func (c *client) cfg() *Config   { return &c.fsys.cfg }
 func (c *client) st() *nodeState { return c.state }
 
@@ -1142,57 +1157,311 @@ func (c *client) callRetry(op, path string, attempt func() (retryable bool)) err
 	}
 }
 
-// call issues one RPC for slice, retrying with deterministic exponential
+// call issues r for slice, retrying with deterministic exponential
 // backoff while the serving server is down; a failover between attempts
-// redirects the retry to the promoted backup. The service body runs on
-// the serving server's thread pool (srv) against the slice's
-// authoritative state. It returns ETIMEDOUT when RetryMax attempts all
-// failed.
-func (c *client) call(op string, path string, slice int, reqBytes, respBytes int64,
-	service func(sp *sim.Proc, state, srv *shardSrv)) error {
+// redirects the retry to the promoted backup. The body runs on the
+// serving server's thread pool (r.srv) against the slice's
+// authoritative state (r.state). It returns ETIMEDOUT when RetryMax
+// attempts all failed.
+func (c *client) call(r *req, slice int, reqBytes, respBytes int64) error {
 	f := c.fsys
-	state := f.shards[slice]
-	return c.callRetry(op, path, func() bool {
-		srv := f.srvFor(slice)
-		return f.conn(c.node, srv).TryCallDom(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
-			service(sp, state, srv)
-		}) != nil
+	return c.callRetry(r.op.String(), r.path, func() bool {
+		r.srv, r.state = f.srvFor(slice), f.shards[slice]
+		return f.conn(c.node, r.srv).TryCall(c.p, reqBytes, respBytes, r) != nil
 	})
 }
 
-// callEntry is call for operations addressed at the directory entry p,
-// with split-bitmap routing: the client first routes by its cached
-// bitmap (paying a bounce when the guess is wrong, split.go), then the
-// RPC targets the authoritative slice — re-resolved on every retry, so
-// a failover or a split between attempts redirects the retry. The
-// service body receives the slice state re-checked at service start; a
-// body that then sleeps (queueing for a directory lock, the service
-// charge itself) must re-resolve with entryState immediately before
-// touching the namespace, because a concurrent split can move
-// ownership during any wait. A request acted on by the contacted
-// server against a re-homed slice models proxying: the cost stays at
-// the contacted server, the state change lands where routing looks.
-func (c *client) callEntry(op, p string, reqBytes, respBytes int64,
-	service func(sp *sim.Proc, state, srv *shardSrv)) error {
+// callEntry is call for operations addressed at the directory entry
+// r.path, with split-bitmap routing: the client first routes by its
+// cached bitmap (paying a bounce when the guess is wrong, split.go),
+// then the RPC targets the authoritative slice — re-resolved on every
+// retry, so a failover or a split between attempts redirects the retry.
+// The body receives the slice state re-checked at service start
+// (Serve); a body that then sleeps (queueing for a directory lock, the
+// service charge itself) must re-resolve with entryState immediately
+// before touching the namespace, because a concurrent split can move
+// ownership during any wait. A request acted on by the contacted server
+// against a re-homed slice models proxying: the cost stays at the
+// contacted server, the state change lands where routing looks.
+func (c *client) callEntry(r *req, reqBytes, respBytes int64) error {
 	f := c.fsys
-	c.routeEntry(p)
-	return c.callRetry(op, p, func() bool {
-		s := f.ownerSlice(p)
-		srv := f.srvFor(s)
-		return f.conn(c.node, srv).TryCallDom(c.p, reqBytes, respBytes, func(sp *sim.Proc) {
-			state := f.shards[f.ownerSlice(p)]
-			if f.domained() {
-				// Pin the route chosen at attempt time: the body starts
-				// against the slice the contacted server was addressed
-				// for (its own domain); any re-homing that lands while
-				// the request queues is caught by the commit-instant
-				// re-resolution below, which forwards across domains
-				// (applyState) instead of touching foreign state.
-				state = f.shards[s]
-			}
-			service(sp, state, srv)
-		}) != nil
+	c.routeEntry(r.path)
+	r.entry = true
+	return c.callRetry(r.op.String(), r.path, func() bool {
+		s := f.ownerSlice(r.path)
+		r.srv, r.state = f.srvFor(s), f.shards[s]
+		return f.conn(c.node, r.srv).TryCall(c.p, reqBytes, respBytes, r) != nil
 	})
+}
+
+// rpcOp names the server-side body of a client operation (req.Serve).
+type rpcOp uint8
+
+const (
+	rpcLookup rpcOp = iota // a path-walk LOOKUP of an ancestor
+	rpcCreate
+	rpcMkdir
+	rpcRmdir
+	rpcUnlink
+	rpcRename // a rename within one slice
+	rpcMigrate
+	rpcLink
+	rpcSymlink
+	rpcStat
+	rpcOpen
+	rpcWrite
+	rpcReadDir
+	rpcReadDirRoot  // the subtree-placement root, merged across shards
+	rpcReadDirSplit // a split directory, fanned out over its partitions
+	rpcReadDirPlus
+	rpcReadDirPlusSplit
+)
+
+var rpcNames = [...]string{"lookup", "create", "mkdir", "rmdir", "unlink", "rename", "rename",
+	"link", "symlink", "stat", "open", "write", "readdir", "readdir", "readdir",
+	"readdirplus", "readdirplus"}
+
+func (o rpcOp) String() string { return rpcNames[o] }
+
+// req is one client RPC to the sharded MDS. A client issues one
+// synchronous RPC at a time, so it holds a single req by value and
+// reuses it: the client fills in the operation and its arguments, each
+// attempt records the route it chose, Serve runs the operation on the
+// contacted server (in that server's kernel domain when the cell is
+// domained) and writes the results back. Every body is a method on req,
+// and its phases run through applyState as typed steps (applyStep,
+// commitStep), so a path that neither crosses a domain nor hops to a
+// peer allocates nothing. Client-side cache fills made inside a body go
+// through fillEntry (simnet.Defer across domains).
+type req struct {
+	c  *client
+	op rpcOp
+	// path is the entry the operation addresses; other is the second
+	// name: the rename destination, the existing name a link points at,
+	// the symlink target.
+	path, other string
+	// svc is the service time the apply phase charges.
+	svc time.Duration
+
+	// Route of the current attempt: the contacted server and the slice
+	// state the apply phase runs against; entry re-resolves that state
+	// at service start (callEntry). commit is the state the commit phase
+	// re-resolved.
+	srv, state, commit *shardSrv
+	entry              bool
+
+	// Write arguments: the handle's entry identity (chased across split
+	// migrations), the bytes written and the resulting size.
+	id               entryID
+	written, newSize int64
+	// Migrate outcome flags (see migrate).
+	dstDown, moved bool
+
+	// Results.
+	err   error
+	attr  fs.Attr
+	ents  []fs.DirEntry
+	attrs []fs.Attr
+}
+
+// begin resets the client's request for op on path.
+func (c *client) begin(o rpcOp, path string, svc time.Duration) *req {
+	c.r = req{c: c, op: o, path: path, svc: svc}
+	return &c.r
+}
+
+// step is one phase of an operation's server-side work, run by
+// applyState against the slice state it touches.
+type step interface {
+	run(q *sim.Proc, at *shardSrv)
+}
+
+// applyStep and commitStep are req's two phases as steps: apply charges
+// the operation at the contacted slice state, commit applies it at the
+// slice state authoritative at the commit instant.
+type (
+	applyStep  req
+	commitStep req
+)
+
+func (s *applyStep) run(q *sim.Proc, at *shardSrv)  { (*req)(s).apply(q, at) }
+func (s *commitStep) run(q *sim.Proc, at *shardSrv) { (*req)(s).commitAt(q, at) }
+
+// Serve runs the operation on the contacted server.
+func (r *req) Serve(sp *sim.Proc) {
+	f := r.c.fsys
+	if r.entry && !f.domained() {
+		// Under domains the route chosen at attempt time stays pinned:
+		// the body starts against the slice the contacted server was
+		// addressed for (its own domain), and any re-homing that lands
+		// while the request queues is caught by the commit-instant
+		// re-resolution, which forwards across domains (applyState)
+		// instead of touching foreign state.
+		r.state = f.entryState(r.path)
+	}
+	switch r.op {
+	case rpcLookup:
+		f.serviceOp(sp, r.srv, f.cfg.LookupService, -1, f.readInfo(r.state, r.path))
+		r.attr, r.err = r.state.ns.Stat(r.path)
+		if r.err == nil {
+			r.c.fillEntry(sp, r.path, r.attr)
+		} else {
+			// The negative dentry is client-side state: it rides the
+			// reply home (immediate when client and shard share a
+			// kernel).
+			st, prefix := r.c.st(), r.path
+			simnet.Defer(sp, func() { st.dentries.PutNegative(prefix) })
+		}
+		return
+	case rpcMigrate:
+		r.migrate(sp)
+		return
+	case rpcReadDirPlus:
+		r.readDirPlus(sp)
+		return
+	case rpcRename:
+		// Re-resolve ownership at service time (the callEntry rule), and
+		// again under the lock: a split landing while this request
+		// queued or waited can re-home either name; renaming on a pinned
+		// slice would strand the new entry where the split-aware routing
+		// never looks.
+		r.state = f.entryState(r.path)
+	case rpcWrite:
+		t := time.Duration(float64(f.cfg.WriteServicePerKB) * float64(r.written) / 1024)
+		f.serviceOp(sp, r.srv, t, -1, opInfo{cls: opWrite, dirSize: -1})
+		// Chase the handle's incarnation across split migrations, then
+		// write through the inode, wherever its name has gone: a rename
+		// keeps the inode alive (the write must land, POSIX fd
+		// semantics), a split migration is followed via FS.moved, and
+		// only a dead inode — unlinked, or re-homed by a cross-shard
+		// migrate that re-created it — is a stale handle that must fail
+		// loudly rather than touch an unrelated same-name replacement.
+		r.id = f.chaseMoves(r.id)
+		r.state = f.shards[r.id.slice]
+	}
+	f.applyState(sp, r.state, r.srv, (*applyStep)(r))
+}
+
+// apply is the first phase, at the server at (the contacted one, or the
+// owner of r.state when applyState forwarded): the whole operation for
+// the one-phase ones; for the others the service charge — under the
+// parent directory's lock for the entry-creating and -removing ones —
+// then the commit phase against the slice re-resolved at that instant,
+// since the lock and charge waits may have overlapped a split.
+func (r *req) apply(q *sim.Proc, at *shardSrv) {
+	f, state := r.c.fsys, r.state
+	switch r.op {
+	case rpcMkdir:
+		r.mkdir(q, at)
+		return
+	case rpcRmdir:
+		r.rmdir(q, at)
+		return
+	case rpcWrite:
+		r.write(q, at)
+		return
+	case rpcReadDir:
+		r.ents, r.err = state.ns.ReadDir(r.path, q.Now())
+		if r.err != nil {
+			f.serviceOp(q, at, f.cfg.ReaddirService, -1, scanInfo())
+			return
+		}
+		f.serviceOp(q, at, readdirCost(&f.cfg, len(r.ents)), -1, scanInfo())
+		return
+	case rpcReadDirRoot:
+		r.readDirRoot(q, at)
+		return
+	case rpcReadDirSplit, rpcReadDirPlusSplit:
+		r.fanout(q, at)
+		return
+	case rpcCreate, rpcUnlink, rpcRename:
+		if dir, lerr := state.ns.Lookup(fs.ParentDir(r.path)); lerr == nil {
+			lock := state.dirLock(q.Kernel(), dir.Ino)
+			lock.Lock(q)
+			defer lock.Unlock()
+			f.serviceOp(q, at, r.svc, dir.NumChildren(), writeInfo(r.path, dir.NumChildren()))
+		} else {
+			f.serviceOp(q, at, r.svc, -1, writeInfo(r.path, -1))
+		}
+	case rpcLink, rpcSymlink:
+		f.serviceOp(q, at, r.svc, -1, writeInfo(r.path, -1))
+	case rpcStat, rpcOpen:
+		f.serviceOp(q, at, r.svc, -1, f.readInfo(state, r.path))
+	}
+	r.commit = f.entryState(r.path)
+	f.applyState(q, r.commit, at, (*commitStep)(r))
+}
+
+// commitAt is the commit phase at the server at2: no virtual time passes
+// between the re-resolution in apply and the namespace access here.
+// Splits trigger from the contacted server only: forwarded work runs on
+// a peer pool, and a split hops to peer pools itself.
+func (r *req) commitAt(q *sim.Proc, at2 *shardSrv) {
+	f, c, state2, p := r.c.fsys, r.c, r.commit, r.path
+	cfg := &f.cfg
+	switch r.op {
+	case rpcStat, rpcOpen:
+		r.attr, r.err = state2.ns.Stat(p)
+		if r.err == nil {
+			c.fillEntry(q, p, r.attr)
+		} else if r.op == rpcOpen {
+			st := c.st()
+			simnet.Defer(q, func() { st.dentries.PutNegative(p) })
+		}
+	case rpcCreate:
+		_, r.err = state2.ns.Create(p, 0o644, q.Now())
+		if r.err == nil {
+			f.revokeOnMutate(q, c.st(), p, true)
+			f.persistAt(q, state2, at2, r.srv, fs.OpCreate, p, cfg.MetaLogBytes)
+			r.maybeSplit(q, at2, state2, p)
+		}
+		if r.err == nil || fs.IsExist(r.err) {
+			c.captureEntry(q, p)
+		}
+	case rpcUnlink:
+		r.err = state2.ns.Unlink(p, q.Now())
+		if r.err == nil {
+			f.revokeOnMutate(q, c.st(), p, true)
+			f.persistAt(q, state2, at2, r.srv, fs.OpUnlink, p, cfg.MetaLogBytes)
+		}
+	case rpcRename:
+		r.renameAt(q, at2)
+	case rpcLink:
+		// A split landing while this request queued or charged can
+		// separate the two names' partitions.
+		if f.ownerSlice(r.other) != f.ownerSlice(p) {
+			r.err = fs.NewError("link", p, fs.EXDEV)
+			return
+		}
+		r.err = state2.ns.Link(r.other, p, q.Now())
+		if r.err == nil {
+			// The link bumps the target's nlink: both names go stale.
+			f.revokeOnMutate(q, c.st(), r.other, false)
+			f.revokeOnMutate(q, c.st(), p, true)
+			f.persistAt(q, state2, at2, r.srv, fs.OpLink, p, cfg.MetaLogBytes)
+			r.maybeSplit(q, at2, state2, p)
+			c.captureEntry(q, p)
+		}
+	case rpcSymlink:
+		_, r.err = state2.ns.Symlink(r.other, p, q.Now())
+		if r.err == nil {
+			f.revokeOnMutate(q, c.st(), p, true)
+			f.persistAt(q, state2, at2, r.srv, fs.OpSymlink, p, cfg.MetaLogBytes)
+			r.maybeSplit(q, at2, state2, p)
+			c.captureEntry(q, p)
+		}
+	}
+}
+
+// maybeSplit lets an insertion of p push its parent over the split
+// threshold — from the contacted server only (see commitAt).
+func (r *req) maybeSplit(q *sim.Proc, at2, state2 *shardSrv, p string) {
+	if at2 != r.srv {
+		return
+	}
+	if dir, lerr := state2.ns.Lookup(fs.ParentDir(p)); lerr == nil {
+		r.c.fsys.maybeSplit(q, fs.ParentDir(p), dir.NumChildren(), r.c.st())
+	}
 }
 
 // entryState returns the slice state authoritative for entry p at this
@@ -1210,7 +1479,6 @@ func (f *FS) entryState(p string) *shardSrv { return f.shards[f.ownerSlice(p)] }
 // hash placement the lookups scatter across the cluster.
 func (c *client) resolveParents(p string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	st := c.st()
 	for i := 1; i < len(p); i++ {
 		if p[i] != '/' {
@@ -1223,25 +1491,12 @@ func (c *client) resolveParents(p string) error {
 			}
 			continue
 		}
-		var err error
-		cerr := c.call("lookup", prefix, f.ownerSlice(prefix), 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.serviceOp(sp, srv, cfg.LookupService, -1, f.readInfo(state, prefix))
-			var a fs.Attr
-			a, err = state.ns.Stat(prefix)
-			if err == nil {
-				c.fillEntry(sp, prefix, a)
-			} else {
-				// The negative dentry is client-side state: it rides the
-				// reply home (immediate when client and shard share a
-				// kernel).
-				simnet.Defer(sp, func() { st.dentries.PutNegative(prefix) })
-			}
-		})
-		if cerr != nil {
+		r := c.begin(rpcLookup, prefix, 0)
+		if cerr := c.call(r, f.ownerSlice(prefix), 120, 140); cerr != nil {
 			return cerr
 		}
-		if err != nil {
-			return err
+		if r.err != nil {
+			return r.err
 		}
 	}
 	return nil
@@ -1299,277 +1554,188 @@ func (c *client) captureEntry(q *sim.Proc, p string) {
 	}
 }
 
-// Create issues one CREATE RPC to the shard serving the parent
-// directory's files.
-func (c *client) Create(p string) error {
-	f := c.fsys
-	cfg := c.cfg()
+// mutate is the client side of the entry-creating and -removing
+// operations: the ancestor walk, then one RPC under the client-side
+// i_mutex of p's parent directory, which stays held while the reply
+// refreshes (or drops) the client's cached entry — under CacheLease the
+// refresh can itself recall a delegation. A create or mkdir that found
+// the entry existing still caches it. Cross-shard hard links are not
+// supported (EXDEV), matching systems whose inodes are keyed by
+// partition.
+func (c *client) mutate(o rpcOp, p, other string, svc time.Duration, reqBytes, respBytes int64) error {
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return err
 	}
+	if o == rpcLink && c.fsys.ownerSlice(other) != c.fsys.ownerSlice(p) {
+		return fs.NewError("link", p, fs.EXDEV)
+	}
 	imutex := c.node.DirLock(fs.ParentDir(p))
 	imutex.Lock(c.p)
 	defer imutex.Unlock()
-
-	var err error
-	cerr := c.callEntry("create", p, 160, 160, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, fwd bool) {
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := state.dirLock(sp.Kernel(), dir.Ino)
-				lock.Lock(sp)
-				defer lock.Unlock()
-				f.serviceOp(sp, at, cfg.CreateService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
-			} else {
-				f.serviceOp(sp, at, cfg.CreateService, -1, writeInfo(p, -1))
-			}
-			// Commit-instant re-resolution: the lock and charge waits above
-			// may have overlapped a split of the parent.
-			state2 := f.entryState(p)
-			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-				_, err = state2.ns.Create(p, 0o644, q.Now())
-				if err == nil {
-					f.revokeOnMutate(q, c.st(), p, true)
-					f.persistAt(q, state2, at2, srv, fs.OpCreate, p, cfg.MetaLogBytes)
-					// Splits trigger from the contacted server only:
-					// forwarded work runs on a peer pool, and a split hops
-					// to peer pools itself.
-					if at2 == srv {
-						if dir, lerr := state2.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-							f.maybeSplit(q, fs.ParentDir(p), dir.NumChildren(), c.st())
-						}
-					}
-				}
-				if err == nil || fs.IsExist(err) {
-					c.captureEntry(q, p)
-				}
-			})
-		})
-	})
-	if cerr != nil {
-		return cerr
-	}
-	if err != nil {
-		if fs.IsExist(err) {
-			c.cacheEntry(p)
+	r := c.begin(o, p, svc)
+	r.other = other
+	var cerr error
+	switch o {
+	case rpcMkdir:
+		cerr = c.call(r, c.fsys.ownerSlice(p), reqBytes, respBytes)
+	case rpcRmdir:
+		slice := c.fsys.contentSlice(p)
+		if slice < 0 {
+			return fs.NewError("rmdir", p, fs.EINVAL)
 		}
-		return err
+		cerr = c.call(r, slice, reqBytes, respBytes)
+	default:
+		cerr = c.callEntry(r, reqBytes, respBytes)
 	}
-	c.cacheEntry(p)
-	return nil
+	switch {
+	case cerr != nil:
+		return cerr
+	case r.err != nil && !(fs.IsExist(r.err) && (o == rpcCreate || o == rpcMkdir)):
+	case o == rpcRmdir || o == rpcUnlink:
+		c.dropEntry(p)
+	default:
+		c.cacheEntry(p)
+	}
+	return r.err
+}
+
+// Create issues one CREATE RPC to the shard serving the parent
+// directory's files.
+func (c *client) Create(p string) error {
+	return c.mutate(rpcCreate, p, "", c.cfg().CreateService, 160, 160)
 }
 
 // Mkdir creates a directory at its owning shard; under hash placement
 // the mutation then replicates synchronously to every other shard.
 func (c *client) Mkdir(p string) error {
-	f := c.fsys
-	cfg := c.cfg()
-	c.node.Syscall(c.p)
-	if err := c.resolveParents(p); err != nil {
-		return err
-	}
-	imutex := c.node.DirLock(fs.ParentDir(p))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
+	return c.mutate(rpcMkdir, p, "", c.cfg().MkdirService, 150, 140)
+}
 
-	var err error
-	cerr := c.call("mkdir", p, f.ownerSlice(p), 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := state.dirLock(sp.Kernel(), dir.Ino)
-				lock.Lock(sp)
-				f.serviceOp(sp, at, cfg.MkdirService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
-				lock.Unlock()
-			} else {
-				f.serviceOp(sp, at, cfg.MkdirService, -1, writeInfo(p, -1))
-			}
-			_, err = state.ns.Mkdir(p, 0o755, sp.Now())
-			if err == nil {
-				// The broadcast applies the replicas at this same instant;
-				// revocations must not sleep between the primary and the
-				// replica applies, so they come after it.
-				f.replicate(sp, state, cfg.MkdirService, func(ns *namespace.Namespace, now time.Duration) {
-					ns.Mkdir(p, 0o755, now)
-				})
-				f.revokeOnMutate(sp, c.st(), p, true)
-				f.persistAt(sp, state, at, srv, fs.OpMkdir, p, cfg.MetaLogBytes)
-			}
-			if err == nil || fs.IsExist(err) {
-				c.captureEntry(sp, p)
-			}
-		})
-	})
-	if cerr != nil {
-		return cerr
+// mkdir is Mkdir's body.
+func (r *req) mkdir(sp *sim.Proc, at *shardSrv) {
+	f, c, state, p := r.c.fsys, r.c, r.state, r.path
+	if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
+		lock := state.dirLock(sp.Kernel(), dir.Ino)
+		lock.Lock(sp)
+		f.serviceOp(sp, at, r.svc, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
+		lock.Unlock()
+	} else {
+		f.serviceOp(sp, at, r.svc, -1, writeInfo(p, -1))
 	}
-	if err != nil {
-		if fs.IsExist(err) {
-			c.cacheEntry(p)
-		}
-		return err
+	_, r.err = state.ns.Mkdir(p, 0o755, sp.Now())
+	if r.err == nil {
+		// The broadcast applies the replicas at this same instant;
+		// revocations must not sleep between the primary and the
+		// replica applies, so they come after it.
+		f.replicate(sp, state, r.svc, fs.OpMkdir, p)
+		f.revokeOnMutate(sp, c.st(), p, true)
+		f.persistAt(sp, state, at, r.srv, fs.OpMkdir, p, f.cfg.MetaLogBytes)
 	}
-	c.cacheEntry(p)
-	return nil
+	if r.err == nil || fs.IsExist(r.err) {
+		c.captureEntry(sp, p)
+	}
 }
 
 // Rmdir removes a directory. The emptiness check runs on the shard
 // holding the directory's files; under hash placement the removal then
 // replicates to the other shards.
 func (c *client) Rmdir(p string) error {
-	f := c.fsys
-	cfg := c.cfg()
-	c.node.Syscall(c.p)
-	if err := c.resolveParents(p); err != nil {
-		return err
-	}
-	imutex := c.node.DirLock(fs.ParentDir(p))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
+	return c.mutate(rpcRmdir, p, "", c.cfg().RemoveService, 150, 140)
+}
 
-	slice := f.contentSlice(p)
-	if slice < 0 {
-		return fs.NewError("rmdir", p, fs.EINVAL)
-	}
-	var err error
-	cerr := c.call("rmdir", p, slice, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, cfg.RemoveService, -1, writeInfo(p, -1))
-			// A split directory is empty only when every partition slice
-			// agrees: the peer replicas are checked logically before the
-			// removal commits (no time may pass between check and apply),
-			// and the probe traffic — one interconnect hop per live peer
-			// slice examined, local when a failover co-located the slice
-			// here (the splitFanout rule) — is paid after the outcome is
-			// decided, on success and on ENOTEMPTY alike. A down peer's
-			// state still counts, the way replicate applies to down shards.
-			var probes []int
-			payProbes := func() {
-				for _, s := range probes {
-					peer := f.srvFor(s)
-					switch {
-					case !peer.up:
-					case peer == at:
-						f.chargeOp(sp, peer, cfg.ReaddirService, -1, scanInfo())
-					default:
-						f.hop(sp, peer, func(q *sim.Proc) {
-							f.chargeOp(q, peer, cfg.ReaddirService, -1, scanInfo())
-						})
-					}
-				}
-			}
-			if f.splitLevel(p) > 0 {
-				if f.domained() {
-					// A peer partition cannot be read from this domain:
-					// each probe pays its hop up front and checks
-					// emptiness at its own arrival instant — the
-					// check-to-commit window a real distributed rmdir
-					// has — stopping at the first non-empty partition.
-					for _, s := range f.splitSlices(p)[1:] {
-						s := s
-						peer := f.srvFor(s)
-						notEmpty := false
-						check := func(q *sim.Proc) {
-							notEmpty = hasFileEntries(f.shards[s].ns, p, q.Now())
-						}
-						switch {
-						case !peer.up:
-							// A down peer's state still counts; reading it
-							// is a rendezvous with its domain, no thread
-							// occupancy.
-							if dk := f.sliceKernel(s); dk != sp.Kernel() {
-								sim.Call(sp, dk, f.cfg.CrossShardLatency, "rmdirprobe", check)
-							} else {
-								check(sp)
-							}
-						case peer == at:
-							f.chargeOp(sp, peer, cfg.ReaddirService, -1, scanInfo())
-							check(sp)
-						default:
-							f.hop(sp, peer, func(q *sim.Proc) {
-								f.chargeOp(q, peer, cfg.ReaddirService, -1, scanInfo())
-								check(q)
-							})
-						}
-						if notEmpty {
-							err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
-							return
-						}
-					}
-				} else {
-					for _, s := range f.splitSlices(p)[1:] {
-						probes = append(probes, s)
-						if hasFileEntries(f.shards[s].ns, p, sp.Now()) {
-							err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
-							payProbes() // the failed probe ran its readdirs too
-							return
-						}
-					}
-				}
-			}
-			err = state.ns.Rmdir(p, sp.Now())
-			if err == nil {
-				// The split-level map is global routing state: under
-				// domains it changes only at sync points.
-				f.atSync(sp, func() { f.dropSplit(p) })
-				f.replicate(sp, state, cfg.RemoveService, func(ns *namespace.Namespace, now time.Duration) {
-					ns.Rmdir(p, now)
+// rmdir is Rmdir's body.
+func (r *req) rmdir(sp *sim.Proc, at *shardSrv) {
+	f, c, state, p := r.c.fsys, r.c, r.state, r.path
+	cfg := &f.cfg
+	f.serviceOp(sp, at, r.svc, -1, writeInfo(p, -1))
+	// A split directory is empty only when every partition slice
+	// agrees: the peer replicas are checked logically before the
+	// removal commits (no time may pass between check and apply), and
+	// the probe traffic — one interconnect hop per live peer slice
+	// examined, local when a failover co-located the slice here (the
+	// fanout rule) — is paid after the outcome is decided, on
+	// success and on ENOTEMPTY alike. A down peer's state still counts,
+	// the way replicate applies to down shards.
+	var probes []int
+	payProbes := func() {
+		for _, s := range probes {
+			peer := f.srvFor(s)
+			switch {
+			case !peer.up:
+			case peer == at:
+				f.chargeOp(sp, peer, cfg.ReaddirService, -1, scanInfo())
+			default:
+				f.hop(sp, peer, func(q *sim.Proc) {
+					f.chargeOp(q, peer, cfg.ReaddirService, -1, scanInfo())
 				})
-				f.revokeOnMutate(sp, c.st(), p, true)
-				f.dropDelegation(sp, p)
-				f.persistAt(sp, state, at, srv, fs.OpRmdir, p, cfg.MetaLogBytes)
-				payProbes()
 			}
-		})
-	})
-	if cerr != nil {
-		return cerr
+		}
 	}
-	if err == nil {
-		c.dropEntry(p)
+	if f.splitLevel(p) > 0 {
+		if f.domained() {
+			// A peer partition cannot be read from this domain: each
+			// probe pays its hop up front and checks emptiness at its
+			// own arrival instant — the check-to-commit window a real
+			// distributed rmdir has — stopping at the first non-empty
+			// partition.
+			for _, s := range f.splitSlices(p)[1:] {
+				s := s
+				peer := f.srvFor(s)
+				notEmpty := false
+				check := func(q *sim.Proc) {
+					notEmpty = hasFileEntries(f.shards[s].ns, p, q.Now())
+				}
+				switch {
+				case !peer.up:
+					// A down peer's state still counts; reading it is a
+					// rendezvous with its domain, no thread occupancy.
+					if dk := f.sliceKernel(s); dk != sp.Kernel() {
+						sim.Call(sp, dk, f.cfg.CrossShardLatency, "rmdirprobe", check)
+					} else {
+						check(sp)
+					}
+				case peer == at:
+					f.chargeOp(sp, peer, cfg.ReaddirService, -1, scanInfo())
+					check(sp)
+				default:
+					f.hop(sp, peer, func(q *sim.Proc) {
+						f.chargeOp(q, peer, cfg.ReaddirService, -1, scanInfo())
+						check(q)
+					})
+				}
+				if notEmpty {
+					r.err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
+					return
+				}
+			}
+		} else {
+			for _, s := range f.splitSlices(p)[1:] {
+				probes = append(probes, s)
+				if hasFileEntries(f.shards[s].ns, p, sp.Now()) {
+					r.err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
+					payProbes() // the failed probe ran its readdirs too
+					return
+				}
+			}
+		}
 	}
-	return err
+	r.err = state.ns.Rmdir(p, sp.Now())
+	if r.err == nil {
+		// The split-level map is global routing state: under domains it
+		// changes only at sync points.
+		f.atSync(sp, func() { f.dropSplit(p) })
+		f.replicate(sp, state, r.svc, fs.OpRmdir, p)
+		f.revokeOnMutate(sp, c.st(), p, true)
+		f.dropDelegation(sp, p)
+		f.persistAt(sp, state, at, r.srv, fs.OpRmdir, p, cfg.MetaLogBytes)
+		payProbes()
+	}
 }
 
 // Unlink removes a file at the shard serving its parent directory.
 func (c *client) Unlink(p string) error {
-	f := c.fsys
-	cfg := c.cfg()
-	c.node.Syscall(c.p)
-	if err := c.resolveParents(p); err != nil {
-		return err
-	}
-	imutex := c.node.DirLock(fs.ParentDir(p))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-
-	var err error
-	cerr := c.callEntry("unlink", p, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			if dir, lerr := state.ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				lock := state.dirLock(sp.Kernel(), dir.Ino)
-				lock.Lock(sp)
-				defer lock.Unlock()
-				f.serviceOp(sp, at, cfg.RemoveService, dir.NumChildren(), writeInfo(p, dir.NumChildren()))
-			} else {
-				f.serviceOp(sp, at, cfg.RemoveService, -1, writeInfo(p, -1))
-			}
-			state2 := f.entryState(p) // the waits above may have overlapped a split
-			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-				err = state2.ns.Unlink(p, q.Now())
-				if err == nil {
-					f.revokeOnMutate(q, c.st(), p, true)
-					f.persistAt(q, state2, at2, srv, fs.OpUnlink, p, cfg.MetaLogBytes)
-				}
-			})
-		})
-	})
-	if cerr != nil {
-		return cerr
-	}
-	if err == nil {
-		c.dropEntry(p)
-	}
-	return err
+	return c.mutate(rpcUnlink, p, "", c.cfg().RemoveService, 150, 140)
 }
 
 // Rename is atomic on one shard when both parents are served there.
@@ -1586,7 +1752,6 @@ func (c *client) Unlink(p string) error {
 // with a timeout and the client retries it from the source.
 func (c *client) Rename(oldPath, newPath string) error {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(oldPath); err != nil {
 		return err
@@ -1599,329 +1764,225 @@ func (c *client) Rename(oldPath, newPath string) error {
 	defer imutex.Unlock()
 
 	srcSlice := f.ownerSlice(oldPath)
-	dstSlice := f.ownerSlice(newPath)
-	var err error
-	if srcSlice == dstSlice {
-		cerr := c.call("rename", oldPath, srcSlice, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			// Re-resolve ownership at service time (the callEntry rule),
-			// and again under the lock below: a split landing while this
-			// request queued or waited can re-home either name; renaming
-			// on a pinned slice would strand the new entry where the
-			// split-aware routing never looks.
-			state = f.entryState(oldPath)
-			f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-				if dir, lerr := state.ns.Lookup(fs.ParentDir(oldPath)); lerr == nil {
-					lock := state.dirLock(sp.Kernel(), dir.Ino)
-					lock.Lock(sp)
-					defer lock.Unlock()
-					f.serviceOp(sp, at, cfg.RenameService, dir.NumChildren(), writeInfo(oldPath, dir.NumChildren()))
-				} else {
-					f.serviceOp(sp, at, cfg.RenameService, -1, writeInfo(oldPath, -1))
-				}
-				// Commit-instant re-resolution; no virtual time passes from
-				// here to ns.Rename. When a mid-flight split separated the
-				// two names' partitions, the rename surfaces a transient
-				// EXDEV — an online repartition briefly refusing a rename it
-				// can no longer do atomically, like any
-				// migration-in-progress busy error — rather than corrupting
-				// placement.
-				state2 := f.entryState(oldPath)
-				f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-					if f.ownerSlice(newPath) != f.ownerSlice(oldPath) {
-						err = fs.NewError("rename", newPath, fs.EXDEV)
-						return
-					}
-					if f.cfg.Placement == PlaceHashDir && len(f.shards) > 1 {
-						// Renaming a directory would strand its hashed files
-						// and stale the replicated tree on the other shards.
-						var a fs.Attr
-						a, err = state2.ns.Stat(oldPath)
-						if err != nil {
-							return
-						}
-						if a.Type == fs.TypeDirectory {
-							err = fs.NewError("rename", newPath, fs.EXDEV)
-							return
-						}
-					}
-					err = state2.ns.Rename(oldPath, newPath, q.Now())
-					if err == nil {
-						f.revokeOnMutate(q, c.st(), oldPath, true)
-						f.revokeOnMutate(q, c.st(), newPath, true)
-						f.dropDelegation(q, oldPath)
-						// A directory rename moved every descendant with it:
-						// leases keyed by the old paths are dead. All reachable
-						// cases (subtree placement, single shard) keep a
-						// subtree's entries on one slice.
-						if f.cfg.CacheMode == CacheLease {
-							if a, serr := state2.ns.Stat(newPath); serr == nil && a.Type == fs.TypeDirectory {
-								f.revokeSubtree(q, c.st(), oldPath, f.ownerSlice(oldPath))
-							}
-						}
-						f.persistAt(q, state2, at2, srv, fs.OpRename, newPath, cfg.MetaLogBytes)
-						// The rename inserted an entry at the destination parent:
-						// it can push that directory over the split threshold
-						// just like a create — but splits trigger from the
-						// contacted server only, never from forwarded work
-						// on a peer pool.
-						if at2 == srv {
-							if ndir, nlerr := state2.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-								f.maybeSplit(q, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
-							}
-						}
-						c.captureEntry(q, newPath)
-					}
-				})
-			})
-		})
-		if cerr != nil {
+	r := c.begin(rpcRename, oldPath, c.cfg().RenameService)
+	r.other = newPath
+	if srcSlice == f.ownerSlice(newPath) {
+		if cerr := c.call(r, srcSlice, 150, 140); cerr != nil {
 			return cerr
 		}
 	} else {
 		// The migrate pairs two servers, and either can be down: a dead
-		// source fails the TryCall, a dead destination aborts the
-		// service body after the client's RPC timeout. Both are
-		// retryable failures drawing on the one callRetry budget, and
-		// every retry restarts the migrate from the source phase.
-		// dirEntries returns the directory-index surcharge argument for
-		// the parent of p in ns — the same dir.NumChildren() the local
-		// rename branch charges, so a large directory prices its rename
-		// identically whether or not the operation crosses a shard.
-		dirEntries := func(ns *namespace.Namespace, p string) int {
-			if dir, lerr := ns.Lookup(fs.ParentDir(p)); lerr == nil {
-				return dir.NumChildren()
-			}
-			return -1
-		}
+		// source fails the TryCall, a dead destination aborts the body
+		// after the client's RPC timeout. Both are retryable failures
+		// drawing on the one callRetry budget, and every retry restarts
+		// the migrate from the source phase.
+		r.op = rpcMigrate
 		cerr := c.callRetry("rename", newPath, func() bool {
-			err = nil
-			dstDown := false
-			moved := false
-			srv := f.srvFor(srcSlice)
-			// Under kernel domains a re-resolution that discovers the
-			// entry re-homed into another domain cannot proxy for free:
-			// the attempt fails like a timeout and the client retries
-			// against the new owner — an ESTALE redirect, priced as a
-			// retry. rehomed reports (and records) that condition.
-			rehomed := func(q *sim.Proc, st *shardSrv) bool {
-				if f.domained() && f.sliceKernel(st.index) != q.Kernel() {
-					moved = true
-					return true
-				}
-				return false
-			}
-			terr := f.conn(c.node, srv).TryCallDom(c.p, 150, 140, func(sp *sim.Proc) {
-				// Re-resolve both ends at service time, like callEntry: a
-				// split landing while this request queued may have
-				// re-homed either entry.
-				srcState := f.entryState(oldPath)
-				if rehomed(sp, srcState) {
-					sp.Sleep(f.cfg.RetryTimeout)
-					return
-				}
-				srcN := dirEntries(srcState.ns, oldPath)
-				f.serviceOp(sp, srv, cfg.RenameService, srcN, writeInfo(oldPath, srcN))
-				srcState = f.entryState(oldPath) // the charge may have overlapped a split
-				if rehomed(sp, srcState) {
-					sp.Sleep(f.cfg.RetryTimeout)
-					return
-				}
-				var a fs.Attr
-				a, err = srcState.ns.Stat(oldPath)
-				if err != nil {
-					return
-				}
-				if a.Type != fs.TypeRegular {
-					err = fs.NewError("rename", newPath, fs.EXDEV)
-					return
-				}
-				dstState := f.shards[f.ownerSlice(newPath)]
-				dstSrv := f.srvFor(f.ownerSlice(newPath))
-				if !dstSrv.up {
-					dstDown = true
-					sp.Sleep(f.cfg.RetryTimeout)
-					return
-				}
-				dstParentN := -1
-				// Phase 1: insert at the destination shard.
-				f.hop(sp, dstSrv, func(q *sim.Proc) {
-					dstN := dirEntries(dstState.ns, newPath)
-					f.chargeOp(q, dstSrv, cfg.RenameService, dstN, writeInfo(newPath, dstN))
-					// Commit-instant re-resolution after the hop+charge
-					// waits.
-					dstState = f.entryState(newPath)
-					if rehomed(q, dstState) {
-						return
-					}
-					if derr := dstState.ns.Unlink(newPath, q.Now()); derr != nil && !fs.IsNotExist(derr) {
-						err = derr
-						return
-					}
-					var ni *namespace.Inode
-					ni, err = dstState.ns.Create(newPath, a.Mode, q.Now())
-					if err == nil {
-						if a.Size > 0 {
-							dstState.ns.SetSize(ni.Ino, a.Size, q.Now())
-						}
-						f.revokeOnMutate(q, c.st(), newPath, true)
-						// The destination insert commits per-op even under
-						// group commit: it runs on the peer pool, and peer
-						// work must never wait on a batch whose leader may
-						// need this very pool for its mirror round trip.
-						dstSrv.be.log(q, cfg.MetaLogBytes)
-						f.commit(q, dstState, dstSrv, fs.OpRename, newPath)
-						if f.domained() {
-							// The coordinator cannot read the destination
-							// parent from its domain: capture the split
-							// trigger's entry count (and the new entry's
-							// attributes) here, at the insert instant.
-							if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-								dstParentN = ndir.NumChildren()
-							}
-							c.captureEntry(q, newPath)
-						}
-					}
-				})
-				if err != nil || moved {
-					if moved {
-						sp.Sleep(f.cfg.RetryTimeout)
-					}
-					return
-				}
-				// Phase 2: remove at the source shard.
-				rmN := dirEntries(srcState.ns, oldPath)
-				f.chargeOp(sp, srcState, cfg.RemoveService, rmN, writeInfo(oldPath, rmN))
-				srcState = f.entryState(oldPath) // commit-instant re-resolution
-				if rehomed(sp, srcState) {
-					// The destination insert stands; the retry's source
-					// removal is idempotent (phase 1 tolerates an existing
-					// destination entry).
-					sp.Sleep(f.cfg.RetryTimeout)
-					return
-				}
-				err = srcState.ns.Unlink(oldPath, sp.Now())
-				if err == nil {
-					f.revokeOnMutate(sp, c.st(), oldPath, true)
-					f.persist(sp, srcState, srv, fs.OpUnlink, oldPath, cfg.MetaLogBytes)
-					// The migrate grew the destination parent; trigger
-					// from the coordinator, never from inside the hop —
-					// a split hops to peer pools itself, and peer-pool
-					// threads must not wait on other peer pools.
-					if f.domained() {
-						if dstParentN >= 0 {
-							f.maybeSplit(sp, fs.ParentDir(newPath), dstParentN, c.st())
-						}
-					} else if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-						f.maybeSplit(sp, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
-					}
-				}
-			})
-			return terr != nil || dstDown || moved
+			r.err, r.dstDown, r.moved = nil, false, false
+			r.srv = f.srvFor(srcSlice)
+			terr := f.conn(c.node, r.srv).TryCall(c.p, 150, 140, r)
+			return terr != nil || r.dstDown || r.moved
 		})
 		if cerr != nil {
 			return cerr
 		}
 	}
-	if err == nil {
+	if r.err == nil {
 		c.dropEntry(oldPath)
 		c.cacheEntry(newPath)
 	}
-	return err
+	return r.err
 }
 
-// Link creates a hard link when both names are served by one shard;
-// cross-shard hard links are not supported (EXDEV), matching systems
-// whose inodes are keyed by partition.
-func (c *client) Link(oldPath, newPath string) error {
-	f := c.fsys
-	cfg := c.cfg()
-	c.node.Syscall(c.p)
-	if err := c.resolveParents(newPath); err != nil {
-		return err
+// renameAt is the commit phase of a rename within one slice. When a
+// mid-flight split separated the two names' partitions, the rename
+// surfaces a transient EXDEV — an online repartition briefly refusing a
+// rename it can no longer do atomically, like any
+// migration-in-progress busy error — rather than corrupting placement.
+func (r *req) renameAt(q *sim.Proc, at2 *shardSrv) {
+	f, c, state2 := r.c.fsys, r.c, r.commit
+	oldPath, newPath := r.path, r.other
+	if f.ownerSlice(newPath) != f.ownerSlice(oldPath) {
+		r.err = fs.NewError("rename", newPath, fs.EXDEV)
+		return
 	}
-	srcSlice := f.ownerSlice(oldPath)
-	dstSlice := f.ownerSlice(newPath)
-	if srcSlice != dstSlice {
-		return fs.NewError("link", newPath, fs.EXDEV)
+	if f.cfg.Placement == PlaceHashDir && len(f.shards) > 1 {
+		// Renaming a directory would strand its hashed files and stale
+		// the replicated tree on the other shards.
+		var a fs.Attr
+		a, r.err = state2.ns.Stat(oldPath)
+		if r.err != nil {
+			return
+		}
+		if a.Type == fs.TypeDirectory {
+			r.err = fs.NewError("rename", newPath, fs.EXDEV)
+			return
+		}
 	}
-	imutex := c.node.DirLock(fs.ParentDir(newPath))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-	var err error
-	cerr := c.callEntry("link", newPath, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, cfg.CreateService, -1, writeInfo(newPath, -1))
-			// Commit-instant re-check: a split landing while this request
-			// queued or charged can separate the two names' partitions.
-			state2 := f.entryState(newPath)
-			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-				if f.ownerSlice(oldPath) != f.ownerSlice(newPath) {
-					err = fs.NewError("link", newPath, fs.EXDEV)
-					return
-				}
-				err = state2.ns.Link(oldPath, newPath, q.Now())
-				if err == nil {
-					// The link bumps the target's nlink: both names go stale.
-					f.revokeOnMutate(q, c.st(), oldPath, false)
-					f.revokeOnMutate(q, c.st(), newPath, true)
-					f.persistAt(q, state2, at2, srv, fs.OpLink, newPath, cfg.MetaLogBytes)
-					if at2 == srv {
-						if dir, lerr := state2.ns.Lookup(fs.ParentDir(newPath)); lerr == nil {
-							f.maybeSplit(q, fs.ParentDir(newPath), dir.NumChildren(), c.st())
-						}
-					}
-					c.captureEntry(q, newPath)
-				}
-			})
-		})
+	r.err = state2.ns.Rename(oldPath, newPath, q.Now())
+	if r.err != nil {
+		return
+	}
+	f.revokeOnMutate(q, c.st(), oldPath, true)
+	f.revokeOnMutate(q, c.st(), newPath, true)
+	f.dropDelegation(q, oldPath)
+	// A directory rename moved every descendant with it: leases keyed
+	// by the old paths are dead. All reachable cases (subtree
+	// placement, single shard) keep a subtree's entries on one slice.
+	if f.cfg.CacheMode == CacheLease {
+		if a, serr := state2.ns.Stat(newPath); serr == nil && a.Type == fs.TypeDirectory {
+			f.revokeSubtree(q, c.st(), oldPath, f.ownerSlice(oldPath))
+		}
+	}
+	f.persistAt(q, state2, at2, r.srv, fs.OpRename, newPath, f.cfg.MetaLogBytes)
+	// The rename inserted an entry at the destination parent: it can
+	// push that directory over the split threshold just like a create.
+	r.maybeSplit(q, at2, state2, newPath)
+	c.captureEntry(q, newPath)
+}
+
+// dirEntries returns the directory-index surcharge argument for the
+// parent of p in ns — the same dir.NumChildren() the local rename
+// charges, so a large directory prices its rename identically whether
+// or not the operation crosses a shard.
+func dirEntries(ns *namespace.Namespace, p string) int {
+	if dir, lerr := ns.Lookup(fs.ParentDir(p)); lerr == nil {
+		return dir.NumChildren()
+	}
+	return -1
+}
+
+// rehomed reports (and records in r.moved) that the entry state st
+// re-resolved to lives in another kernel domain than q. Under domains
+// such a re-resolution cannot proxy for free: the attempt fails like a
+// timeout and the client retries against the new owner — an ESTALE
+// redirect, priced as a retry.
+func (r *req) rehomed(q *sim.Proc, st *shardSrv) bool {
+	f := r.c.fsys
+	if f.domained() && f.sliceKernel(st.index) != q.Kernel() {
+		r.moved = true
+		return true
+	}
+	return false
+}
+
+// migrate is the body of a cross-shard rename at the source server.
+func (r *req) migrate(sp *sim.Proc) {
+	f, c, srv := r.c.fsys, r.c, r.srv
+	cfg := &f.cfg
+	oldPath, newPath := r.path, r.other
+	// Re-resolve both ends at service time, like callEntry: a split
+	// landing while this request queued may have re-homed either entry.
+	srcState := f.entryState(oldPath)
+	if r.rehomed(sp, srcState) {
+		sp.Sleep(cfg.RetryTimeout)
+		return
+	}
+	srcN := dirEntries(srcState.ns, oldPath)
+	f.serviceOp(sp, srv, r.svc, srcN, writeInfo(oldPath, srcN))
+	srcState = f.entryState(oldPath) // the charge may have overlapped a split
+	if r.rehomed(sp, srcState) {
+		sp.Sleep(cfg.RetryTimeout)
+		return
+	}
+	var a fs.Attr
+	a, r.err = srcState.ns.Stat(oldPath)
+	if r.err != nil {
+		return
+	}
+	if a.Type != fs.TypeRegular {
+		r.err = fs.NewError("rename", newPath, fs.EXDEV)
+		return
+	}
+	dstState := f.shards[f.ownerSlice(newPath)]
+	dstSrv := f.srvFor(f.ownerSlice(newPath))
+	if !dstSrv.up {
+		r.dstDown = true
+		sp.Sleep(cfg.RetryTimeout)
+		return
+	}
+	dstParentN := -1
+	// Phase 1: insert at the destination shard.
+	f.hop(sp, dstSrv, func(q *sim.Proc) {
+		dstN := dirEntries(dstState.ns, newPath)
+		f.chargeOp(q, dstSrv, cfg.RenameService, dstN, writeInfo(newPath, dstN))
+		// Commit-instant re-resolution after the hop+charge waits.
+		dstState = f.entryState(newPath)
+		if r.rehomed(q, dstState) {
+			return
+		}
+		if derr := dstState.ns.Unlink(newPath, q.Now()); derr != nil && !fs.IsNotExist(derr) {
+			r.err = derr
+			return
+		}
+		var ni *namespace.Inode
+		ni, r.err = dstState.ns.Create(newPath, a.Mode, q.Now())
+		if r.err != nil {
+			return
+		}
+		if a.Size > 0 {
+			dstState.ns.SetSize(ni.Ino, a.Size, q.Now())
+		}
+		f.revokeOnMutate(q, c.st(), newPath, true)
+		// The destination insert commits per-op even under group
+		// commit: it runs on the peer pool, and peer work must never
+		// wait on a batch whose leader may need this very pool for its
+		// mirror round trip.
+		dstSrv.be.log(q, cfg.MetaLogBytes)
+		f.commit(q, dstState, dstSrv, fs.OpRename, newPath)
+		if f.domained() {
+			// The coordinator cannot read the destination parent from its
+			// domain: capture the split trigger's entry count (and the
+			// new entry's attributes) here, at the insert instant.
+			if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
+				dstParentN = ndir.NumChildren()
+			}
+			c.captureEntry(q, newPath)
+		}
 	})
-	if cerr != nil {
-		return cerr
+	if r.err != nil || r.moved {
+		if r.moved {
+			sp.Sleep(cfg.RetryTimeout)
+		}
+		return
 	}
-	if err == nil {
-		c.cacheEntry(newPath)
+	// Phase 2: remove at the source shard.
+	rmN := dirEntries(srcState.ns, oldPath)
+	f.chargeOp(sp, srcState, cfg.RemoveService, rmN, writeInfo(oldPath, rmN))
+	srcState = f.entryState(oldPath) // commit-instant re-resolution
+	if r.rehomed(sp, srcState) {
+		// The destination insert stands; the retry's source removal is
+		// idempotent (phase 1 tolerates an existing destination entry).
+		sp.Sleep(cfg.RetryTimeout)
+		return
 	}
-	return err
+	r.err = srcState.ns.Unlink(oldPath, sp.Now())
+	if r.err == nil {
+		f.revokeOnMutate(sp, c.st(), oldPath, true)
+		f.persist(sp, srcState, srv, fs.OpUnlink, oldPath, cfg.MetaLogBytes)
+		// The migrate grew the destination parent; trigger from the
+		// coordinator, never from inside the hop — a split hops to peer
+		// pools itself, and peer-pool threads must not wait on other
+		// peer pools.
+		if f.domained() {
+			if dstParentN >= 0 {
+				f.maybeSplit(sp, fs.ParentDir(newPath), dstParentN, c.st())
+			}
+		} else if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
+			f.maybeSplit(sp, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
+		}
+	}
+}
+
+// Link creates a hard link when both names are served by one shard
+// (see mutate).
+func (c *client) Link(oldPath, newPath string) error {
+	return c.mutate(rpcLink, newPath, oldPath, c.cfg().CreateService, 150, 140)
 }
 
 // Symlink stores the target string at the shard serving linkPath.
 func (c *client) Symlink(target, linkPath string) error {
-	f := c.fsys
-	cfg := c.cfg()
-	c.node.Syscall(c.p)
-	if err := c.resolveParents(linkPath); err != nil {
-		return err
-	}
-	imutex := c.node.DirLock(fs.ParentDir(linkPath))
-	imutex.Lock(c.p)
-	defer imutex.Unlock()
-	var err error
-	cerr := c.callEntry("symlink", linkPath, 150, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, cfg.CreateService, -1, writeInfo(linkPath, -1))
-			state2 := f.entryState(linkPath) // the charge may have overlapped a split
-			f.applyState(sp, state2, at, func(q *sim.Proc, at2 *shardSrv, _ bool) {
-				_, err = state2.ns.Symlink(target, linkPath, q.Now())
-				if err == nil {
-					f.revokeOnMutate(q, c.st(), linkPath, true)
-					f.persistAt(q, state2, at2, srv, fs.OpSymlink, linkPath, cfg.MetaLogBytes)
-					if at2 == srv {
-						if dir, lerr := state2.ns.Lookup(fs.ParentDir(linkPath)); lerr == nil {
-							f.maybeSplit(q, fs.ParentDir(linkPath), dir.NumChildren(), c.st())
-						}
-					}
-					c.captureEntry(q, linkPath)
-				}
-			})
-		})
-	})
-	if cerr != nil {
-		return cerr
-	}
-	if err == nil {
-		c.cacheEntry(linkPath)
-	}
-	return err
+	return c.mutate(rpcSymlink, linkPath, target, c.cfg().CreateService, 150, 140)
 }
 
 // Stat serves from the attribute cache while its entry holds — a TTL
@@ -1929,8 +1990,6 @@ func (c *client) Symlink(target, linkPath string) error {
 // epoch-invalidated — else issues GETATTR to the serving shard, which
 // grants a fresh lease under CacheLease.
 func (c *client) Stat(p string) (fs.Attr, error) {
-	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if a, ok := c.cachedAttr(p); ok {
 		return a, nil
@@ -1938,34 +1997,29 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	if err := c.resolveParents(p); err != nil {
 		return fs.Attr{}, err
 	}
-	var a fs.Attr
-	var err error
-	cerr := c.callEntry("stat", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			f.serviceOp(sp, at, cfg.GetattrService, -1, f.readInfo(state, p))
-			state2 := f.entryState(p) // the charge may have overlapped a split
-			f.applyState(sp, state2, at, func(q *sim.Proc, _ *shardSrv, _ bool) {
-				a, err = state2.ns.Stat(p)
-				if err == nil {
-					c.fillEntry(q, p, a)
-				}
-			})
-		})
-	})
-	if cerr != nil {
+	r := c.begin(rpcStat, p, c.cfg().GetattrService)
+	if cerr := c.callEntry(r, 120, 140); cerr != nil {
 		return fs.Attr{}, cerr
 	}
-	if err != nil {
-		return fs.Attr{}, err
+	if r.err != nil {
+		return fs.Attr{}, r.err
 	}
-	return a, nil
+	return r.attr, nil
+}
+
+// lookupEntry issues the LOOKUP of Open to the entry's owner.
+func (c *client) lookupEntry(p string) (*req, error) {
+	r := c.begin(rpcOpen, p, c.cfg().LookupService)
+	if cerr := c.callEntry(r, 120, 140); cerr != nil {
+		return nil, cerr
+	}
+	return r, r.err
 }
 
 // Open resolves the path (dentry cache, else LOOKUP at the owner) and
 // returns a handle bound to the owning slice.
 func (c *client) Open(p string) (fs.Handle, error) {
 	f := c.fsys
-	cfg := c.cfg()
 	c.node.Syscall(c.p)
 	if err := c.resolveParents(p); err != nil {
 		return 0, err
@@ -1979,25 +2033,11 @@ func (c *client) Open(p string) (fs.Handle, error) {
 		return c.openDomained(p, ino, ok)
 	}
 	if !ok {
-		var err error
-		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.serviceOp(sp, srv, cfg.LookupService, -1, f.readInfo(state, p))
-			state = f.entryState(p) // the charge may have overlapped a split
-			var a fs.Attr
-			a, err = state.ns.Stat(p)
-			if err == nil {
-				ino = a.Ino
-				c.fillEntry(sp, p, a)
-			} else {
-				st.dentries.PutNegative(p)
-			}
-		})
-		if cerr != nil {
-			return 0, cerr
-		}
+		r, err := c.lookupEntry(p)
 		if err != nil {
 			return 0, err
 		}
+		ino = r.attr.Ino
 	}
 	slice := f.ownerSlice(p)
 	state := f.shards[slice]
@@ -2025,46 +2065,20 @@ func (c *client) Open(p string) (fs.Handle, error) {
 // namespace; across domains that state is unreadable from the client,
 // so a dentry whose attributes are still cached opens locally —
 // incarnation staleness surfaces at flush as ESTALE through the
-// handle-chasing guards — and anything else pays one LOOKUP RPC that
+// handle-chasing guards — and anything else pays the LOOKUP RPC, which
 // resolves ino and size in the owner's domain.
 func (c *client) openDomained(p string, ino fs.Ino, ok bool) (fs.Handle, error) {
-	f := c.fsys
-	cfg := c.cfg()
-	st := c.st()
-	var size int64
-	haveSize := false
 	if ok {
 		if a, aok := c.cachedAttr(p); aok && a.Ino == ino {
-			size, haveSize = a.Size, true
+			return c.newHandle(p, c.fsys.ownerSlice(p), ino, a.Size), nil
 		}
 	}
-	if !haveSize {
-		var err error
-		cerr := c.callEntry("open", p, 120, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-			f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-				f.serviceOp(sp, at, cfg.LookupService, -1, f.readInfo(state, p))
-				state2 := f.entryState(p) // the charge may have overlapped a split
-				f.applyState(sp, state2, at, func(q *sim.Proc, _ *shardSrv, _ bool) {
-					var a fs.Attr
-					a, err = state2.ns.Stat(p)
-					if err == nil {
-						ino, size = a.Ino, a.Size
-						c.fillEntry(q, p, a)
-					} else {
-						simnet.Defer(q, func() { st.dentries.PutNegative(p) })
-					}
-				})
-			})
-		})
-		if cerr != nil {
-			return 0, cerr
-		}
-		if err != nil {
-			return 0, err
-		}
-		st.dentries.PutPositive(p, ino)
+	r, err := c.lookupEntry(p)
+	if err != nil {
+		return 0, err
 	}
-	return c.newHandle(p, f.ownerSlice(p), ino, size), nil
+	c.st().dentries.PutPositive(p, r.attr.Ino)
+	return c.newHandle(p, c.fsys.ownerSlice(p), r.attr.Ino, r.attr.Size), nil
 }
 
 // newHandle allocates a file handle bound to the entry's owning slice.
@@ -2116,53 +2130,16 @@ func (c *client) Fsync(h fs.Handle) error {
 
 func (c *client) flush(of *openFile) error {
 	f := c.fsys
-	cfg := c.cfg()
-	newSize := of.size + of.written
-	written := of.written
-	var err error
-	id := entryID{of.slice, of.ino}
-	cerr := c.callEntry("write", of.path, 120+written, 140, func(sp *sim.Proc, state, srv *shardSrv) {
-		t := time.Duration(float64(cfg.WriteServicePerKB) * float64(written) / 1024)
-		f.serviceOp(sp, srv, t, -1, opInfo{cls: opWrite, dirSize: -1})
-		// Chase the handle's incarnation across split migrations, then
-		// write through the inode, wherever its name has gone: a rename
-		// keeps the inode alive (the write must land, POSIX fd
-		// semantics), a split migration is followed via FS.moved, and
-		// only a dead inode — unlinked, or re-homed by a cross-shard
-		// migrate that re-created it — is a stale handle that must fail
-		// loudly rather than touch an unrelated same-name replacement.
-		id = f.chaseMoves(id)
-		state = f.shards[id.slice]
-		f.applyState(sp, state, srv, func(q *sim.Proc, at *shardSrv, _ bool) {
-			if state.ns.Get(id.ino) == nil {
-				err = fs.NewError("write", of.path, fs.ESTALE)
-				return
-			}
-			state.ns.SetSize(id.ino, newSize, q.Now())
-			// Size and mtime changed: other holders' attribute leases die;
-			// the parent directory is untouched by a content write.
-			f.revokeOnMutate(q, c.st(), of.path, false)
-			f.persistAt(q, state, at, srv, fs.OpWrite, of.path, cfg.MetaLogBytes+written)
-			if f.domained() {
-				// The client-side refresh below cannot peek across
-				// domains: refill here, at the commit instant, when the
-				// written name still resolves in this domain.
-				if est := f.entryState(of.path); f.sliceKernel(est.index) == q.Kernel() {
-					if a, serr := est.ns.Stat(of.path); serr == nil {
-						c.fillEntry(q, of.path, a)
-					}
-				}
-			}
-		})
-	})
-	if cerr != nil {
+	r := c.begin(rpcWrite, of.path, 0)
+	r.id, r.written, r.newSize = entryID{of.slice, of.ino}, of.written, of.size+of.written
+	if cerr := c.callEntry(r, 120+of.written, 140); cerr != nil {
 		return cerr
 	}
-	if err != nil {
-		return err
+	if r.err != nil {
+		return r.err
 	}
-	of.slice, of.ino = id.slice, id.ino
-	of.size = newSize
+	of.slice, of.ino = r.id.slice, r.id.ino
+	of.size = r.newSize
 	of.written = 0
 	of.dirty = false
 	if !f.domained() {
@@ -2171,6 +2148,30 @@ func (c *client) flush(of *openFile) error {
 		}
 	}
 	return nil
+}
+
+// write is the flush body at the server owning the handle's inode.
+func (r *req) write(q *sim.Proc, at *shardSrv) {
+	f, c, state, p := r.c.fsys, r.c, r.state, r.path
+	if state.ns.Get(r.id.ino) == nil {
+		r.err = fs.NewError("write", p, fs.ESTALE)
+		return
+	}
+	state.ns.SetSize(r.id.ino, r.newSize, q.Now())
+	// Size and mtime changed: other holders' attribute leases die; the
+	// parent directory is untouched by a content write.
+	f.revokeOnMutate(q, c.st(), p, false)
+	f.persistAt(q, state, at, r.srv, fs.OpWrite, p, f.cfg.MetaLogBytes+r.written)
+	if f.domained() {
+		// The client-side refresh after the call cannot peek across
+		// domains: refill here, at the commit instant, when the written
+		// name still resolves in this domain.
+		if est := f.entryState(p); f.sliceKernel(est.index) == q.Kernel() {
+			if a, serr := est.ns.Stat(p); serr == nil {
+				c.fillEntry(q, p, a)
+			}
+		}
+	}
 }
 
 // readdirCost returns the service time of listing n entries: one
@@ -2190,90 +2191,79 @@ func readdirCost(cfg *Config, n int) time.Duration {
 // visits the peers over the interconnect and merges their top-level
 // entries — the namespace-aggregation view of §4.7 at MDS granularity.
 // A split giant directory fans out across its partition slices the
-// same way (splitReadDir). Peers that are down are skipped: the listing
+// same way (fanout). Peers that are down are skipped: the listing
 // degrades the way an aggregated namespace does when one volume server
 // times out, and every degraded merge is surfaced in
 // FS.PartialListings.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	f := c.fsys
-	cfg := c.cfg()
 	if f.splitActive() {
 		// Whenever splitting is possible, list through the fan-out: it
 		// reads the split level at service time, so a split landing
 		// while the request queues cannot hide the just-moved entries
 		// (an unsplit directory is a one-slice fan-out at the same
 		// cost).
-		return c.splitReadDir(p)
-	}
-	c.node.Syscall(c.p)
-	slice := f.contentSlice(p)
-	if slice < 0 {
-		homeSlice := c.node.Index % len(f.shards)
-		var ents []fs.DirEntry
-		var err error
-		cerr := c.call("readdir", p, homeSlice, 130, 260, func(sp *sim.Proc, home, srv *shardSrv) {
-			f.applyState(sp, home, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-				ents, err = home.ns.ReadDir(p, sp.Now())
-				if err != nil {
-					f.serviceOp(sp, at, cfg.ReaddirService, -1, scanInfo())
-					return
-				}
-				f.serviceOp(sp, at, readdirCost(cfg, len(ents)), -1, scanInfo())
-				for i := range f.shards {
-					if i == homeSlice {
-						continue
-					}
-					peer := f.srvFor(i)
-					state := f.shards[i]
-					if peer == at {
-						// A failover made this server serve the peer slice
-						// too: merge locally, no interconnect hop.
-						more, merr := state.ns.ReadDir(p, sp.Now())
-						if merr == nil {
-							f.chargeOp(sp, at, readdirCost(cfg, len(more)), -1, scanInfo())
-							ents = append(ents, more...)
-						}
-						continue
-					}
-					if !peer.up {
-						// The peer's subtrees are unreachable: the merge
-						// degrades to a partial listing, surfaced on the FS
-						// so callers and experiments can see the loss.
-						addI64(&f.PartialListings, 1)
-						continue
-					}
-					f.hop(sp, peer, func(q *sim.Proc) {
-						more, merr := state.ns.ReadDir(p, q.Now())
-						if merr != nil {
-							return
-						}
-						f.chargeOp(q, peer, readdirCost(cfg, len(more)), -1, scanInfo())
-						ents = append(ents, more...)
-					})
-				}
-			})
-		})
-		if cerr != nil {
-			return nil, cerr
-		}
+		ents, _, err := c.fanoutCall(rpcReadDirSplit, p, 130, 260)
 		return ents, err
 	}
-	var ents []fs.DirEntry
-	var err error
-	cerr := c.call("readdir", p, slice, 130, 260, func(sp *sim.Proc, state, srv *shardSrv) {
-		f.applyState(sp, state, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			ents, err = state.ns.ReadDir(p, sp.Now())
-			if err != nil {
-				f.serviceOp(sp, at, cfg.ReaddirService, -1, scanInfo())
-				return
-			}
-			f.serviceOp(sp, at, readdirCost(cfg, len(ents)), -1, scanInfo())
-		})
-	})
-	if cerr != nil {
+	c.node.Syscall(c.p)
+	r := c.begin(rpcReadDir, p, 0)
+	slice := f.contentSlice(p)
+	if slice < 0 {
+		r.op = rpcReadDirRoot
+		slice = c.node.Index % len(f.shards)
+	}
+	if cerr := c.call(r, slice, 130, 260); cerr != nil {
 		return nil, cerr
 	}
-	return ents, err
+	ents := r.ents
+	r.ents = nil // the caller owns the slice
+	return ents, r.err
+}
+
+// readDirRoot lists the subtree-placement root from the client's home
+// slice, merging every other slice's top-level entries.
+func (r *req) readDirRoot(sp *sim.Proc, at *shardSrv) {
+	f, home, p := r.c.fsys, r.state, r.path
+	cfg := &f.cfg
+	r.ents, r.err = home.ns.ReadDir(p, sp.Now())
+	if r.err != nil {
+		f.serviceOp(sp, at, cfg.ReaddirService, -1, scanInfo())
+		return
+	}
+	f.serviceOp(sp, at, readdirCost(cfg, len(r.ents)), -1, scanInfo())
+	for i := range f.shards {
+		if i == home.index {
+			continue
+		}
+		peer := f.srvFor(i)
+		state := f.shards[i]
+		if peer == at {
+			// A failover made this server serve the peer slice too:
+			// merge locally, no interconnect hop.
+			more, merr := state.ns.ReadDir(p, sp.Now())
+			if merr == nil {
+				f.chargeOp(sp, at, readdirCost(cfg, len(more)), -1, scanInfo())
+				r.ents = append(r.ents, more...)
+			}
+			continue
+		}
+		if !peer.up {
+			// The peer's subtrees are unreachable: the merge degrades to
+			// a partial listing, surfaced on the FS so callers and
+			// experiments can see the loss.
+			addI64(&f.PartialListings, 1)
+			continue
+		}
+		f.hop(sp, peer, func(q *sim.Proc) {
+			more, merr := state.ns.ReadDir(p, q.Now())
+			if merr != nil {
+				return
+			}
+			f.chargeOp(q, peer, readdirCost(cfg, len(more)), -1, scanInfo())
+			r.ents = append(r.ents, more...)
+		})
+	}
 }
 
 // DropCaches clears the node's attribute, lease, dentry and

@@ -326,7 +326,7 @@ func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) 
 		case dstSrv.up:
 			// A failover co-located both slices on one server: the
 			// destination work is local, no interconnect hop — the same
-			// rule as splitFanout's peer==srv branch.
+			// rule as fanout's peer==at branch.
 			f.charge(sp, dstSrv, dstCost, -1)
 			dstSrv.be.log(sp, logBytes)
 		}
@@ -467,12 +467,21 @@ func (c *client) routeEntry(p string) {
 		// effort against a down server — the real operation's retry
 		// engine owns failure handling.
 		f.Bounces++
-		srv := f.srvFor(guess)
-		f.conn(c.node, srv).TryCallDom(c.p, 120, 90, func(sp *sim.Proc) {
-			f.serviceOp(sp, srv, f.cfg.LookupService, -1, opInfo{cls: opRead, dirSize: -1})
-		})
+		c.misroute.srv = f.srvFor(guess)
+		f.conn(c.node, c.misroute.srv).TryCall(c.p, 120, 90, &c.misroute)
 	}
 	c.learnSplit(dir, authLevel)
+}
+
+// bounce is the body of a misrouted lookup at srv.
+type bounce struct {
+	f   *FS
+	srv *shardSrv
+}
+
+// Serve charges the lookup that finds the name outside srv's partitions.
+func (b *bounce) Serve(sp *sim.Proc) {
+	b.f.serviceOp(sp, b.srv, b.f.cfg.LookupService, -1, opInfo{cls: opRead, dirSize: -1})
 }
 
 // learnSplit refreshes the client's bitmap entry for dir after contact
@@ -530,122 +539,113 @@ func mergeFiles(ents, more []fs.DirEntry) []fs.DirEntry {
 	return ents
 }
 
-// splitFanout is the shared listing engine of a split directory: the
-// home partition's slice serves first (its listing includes every
-// replicated subdirectory), then the serving server visits each other
-// partition slice — locally when a failover co-located it, else over
-// the interconnect — and merges. Per slice it charges cost(n) and hands
-// the entries to merge with filesOnly=true for peers (their directory
-// entries are replicas the home already listed). Down peers are skipped
-// and surfaced in FS.PartialListings, like the subtree root merge.
-func (c *client) splitFanout(op, p string, reqBytes, respBytes int64,
-	cost func(n int) time.Duration,
-	merge func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool)) error {
-	f := c.fsys
-	cfg := c.cfg()
+// fanoutCall issues a listing of the split directory p (o is
+// rpcReadDirSplit or rpcReadDirPlusSplit) through the fan-out. The home
+// slice (partition 0) is level-independent, so it can be addressed up
+// front; the partition list is computed at service time (fanout), so a
+// split that doubles the level while this request sits in a queue
+// cannot hide the just-moved entries from the merge.
+func (c *client) fanoutCall(o rpcOp, p string, reqBytes, respBytes int64) ([]fs.DirEntry, []fs.Attr, error) {
 	c.node.Syscall(c.p)
-	var err error
-	// The home slice (partition 0) is level-independent, so it can be
-	// addressed up front; the partition list is computed at service
-	// time, so a split that doubles the level while this request sits
-	// in a queue cannot hide the just-moved entries from the merge.
-	cerr := c.call(op, p, f.contentSlice(p), reqBytes, respBytes, func(sp *sim.Proc, home, srv *shardSrv) {
-		f.applyState(sp, home, srv, func(sp *sim.Proc, at *shardSrv, _ bool) {
-			slices := f.splitSlices(p)
-			var list []fs.DirEntry
-			list, err = home.ns.ReadDir(p, sp.Now())
-			if err != nil {
-				f.serviceOp(sp, at, cfg.ReaddirService, -1, scanInfo())
-				return
-			}
-			f.serviceOp(sp, at, cost(len(list)), -1, scanInfo())
-			merge(sp, home, list, false)
-			for _, s := range slices[1:] {
-				peer := f.srvFor(s)
-				state := f.shards[s]
-				if peer == at {
-					// A failover made this server serve the peer slice too:
-					// merge locally, no interconnect hop.
-					more, merr := state.ns.ReadDir(p, sp.Now())
-					if merr == nil {
-						f.chargeOp(sp, at, cost(len(more)), -1, scanInfo())
-						merge(sp, state, more, true)
-					}
-					continue
-				}
-				if !peer.up {
-					addI64(&f.PartialListings, 1)
-					continue
-				}
-				f.hop(sp, peer, func(q *sim.Proc) {
-					more, merr := state.ns.ReadDir(p, q.Now())
-					if merr != nil {
-						return
-					}
-					f.chargeOp(q, peer, cost(len(more)), -1, scanInfo())
-					merge(q, state, more, true)
-				})
-			}
-		})
-	})
-	if cerr != nil {
-		return cerr
+	r := c.begin(o, p, 0)
+	if cerr := c.call(r, c.fsys.contentSlice(p), reqBytes, respBytes); cerr != nil {
+		return nil, nil, cerr
 	}
-	return err
-}
-
-// splitReadDir lists a split directory through the fan-out — the cost
-// E27 prices.
-func (c *client) splitReadDir(p string) ([]fs.DirEntry, error) {
-	cfg := c.cfg()
-	var ents []fs.DirEntry
-	err := c.splitFanout("readdir", p, 130, 260,
-		func(n int) time.Duration { return readdirCost(cfg, n) },
-		func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool) {
-			if filesOnly {
-				ents = mergeFiles(ents, list)
-			} else {
-				ents = append(ents, list...)
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-	return ents, nil
-}
-
-// splitReadDirPlus is the batched-lookup fan-out over a split
-// directory: every partition slice returns its entries with attributes
-// for ReaddirPlusPerEntry each, and the merged reply fills the client's
-// caches (a bulk lease grant under CacheLease, keyed per entry to its
-// owning slice).
-func (c *client) splitReadDirPlus(p string) ([]fs.DirEntry, []fs.Attr, error) {
-	cfg := c.cfg()
-	var ents []fs.DirEntry
-	var attrs []fs.Attr
-	err := c.splitFanout("readdirplus", p, 140, 320,
-		func(n int) time.Duration {
-			return readdirCost(cfg, n) + time.Duration(n)*cfg.ReaddirPlusPerEntry
-		},
-		func(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool) {
-			for _, e := range list {
-				if filesOnly && e.Type == fs.TypeDirectory {
-					continue
-				}
-				node := state.ns.Get(e.Ino)
-				if node == nil {
-					continue
-				}
-				a := node.Attr()
-				ents = append(ents, e)
-				attrs = append(attrs, a)
-				c.fillEntry(q, childPath(p, e.Name), a)
-			}
-		})
-	if err != nil {
-		return nil, nil, err
+	ents, attrs := r.ents, r.attrs
+	r.ents, r.attrs = nil, nil // the caller owns the slices
+	if r.err != nil {
+		return nil, nil, r.err
 	}
 	return ents, attrs, nil
+}
+
+// fanout is the shared listing engine of a split directory: the home
+// partition's slice serves first (its listing includes every
+// replicated subdirectory), then the serving server visits each other
+// partition slice — locally when a failover co-located it, else over
+// the interconnect — and merges; peers contribute only their files
+// (their directory entries are replicas the home already listed). Down
+// peers are skipped and surfaced in FS.PartialListings, like the
+// subtree root merge. A plain listing (E27's cost) charges the readdir
+// paging per slice; a readdirplus one adds ReaddirPlusPerEntry per
+// entry and fills the client's caches from the merged attributes.
+func (r *req) fanout(sp *sim.Proc, at *shardSrv) {
+	f, home, p := r.c.fsys, r.state, r.path
+	cfg := &f.cfg
+	slices := f.splitSlices(p)
+	list, err := home.ns.ReadDir(p, sp.Now())
+	if err != nil {
+		r.err = err
+		f.serviceOp(sp, at, cfg.ReaddirService, -1, scanInfo())
+		return
+	}
+	f.serviceOp(sp, at, r.fanCost(len(list)), -1, scanInfo())
+	r.merge(sp, home, list, false)
+	for _, s := range slices[1:] {
+		peer := f.srvFor(s)
+		state := f.shards[s]
+		if peer == at {
+			// A failover made this server serve the peer slice too:
+			// merge locally, no interconnect hop.
+			more, merr := state.ns.ReadDir(p, sp.Now())
+			if merr == nil {
+				f.chargeOp(sp, at, r.fanCost(len(more)), -1, scanInfo())
+				r.merge(sp, state, more, true)
+			}
+			continue
+		}
+		if !peer.up {
+			addI64(&f.PartialListings, 1)
+			continue
+		}
+		f.hop(sp, peer, func(q *sim.Proc) {
+			more, merr := state.ns.ReadDir(p, q.Now())
+			if merr != nil {
+				return
+			}
+			f.chargeOp(q, peer, r.fanCost(len(more)), -1, scanInfo())
+			r.merge(q, state, more, true)
+		})
+	}
+}
+
+// fanCost is the fan-out's service time for listing n entries on one
+// slice.
+func (r *req) fanCost(n int) time.Duration {
+	cfg := &r.c.fsys.cfg
+	t := readdirCost(cfg, n)
+	if r.op == rpcReadDirPlusSplit {
+		t += time.Duration(n) * cfg.ReaddirPlusPerEntry
+	}
+	return t
+}
+
+// merge folds one slice's listing into the reply (filesOnly for peer
+// slices); a readdirplus merge also returns each entry's attributes and
+// fills the client's caches (a bulk lease grant under CacheLease, keyed
+// per entry to its owning slice).
+func (r *req) merge(q *sim.Proc, state *shardSrv, list []fs.DirEntry, filesOnly bool) {
+	if r.op != rpcReadDirPlusSplit {
+		if filesOnly {
+			r.ents = mergeFiles(r.ents, list)
+		} else {
+			r.ents = append(r.ents, list...)
+		}
+		return
+	}
+	for _, e := range list {
+		if filesOnly && e.Type == fs.TypeDirectory {
+			continue
+		}
+		node := state.ns.Get(e.Ino)
+		if node == nil {
+			continue
+		}
+		a := node.Attr()
+		r.ents = append(r.ents, e)
+		r.attrs = append(r.attrs, a)
+		r.c.fillEntry(q, childPath(r.path, e.Name), a)
+	}
 }
 
 // hasFileEntries reports whether dir's replica in ns still holds any

@@ -46,6 +46,10 @@ type Server struct {
 	k     *sim.Kernel
 	down  bool
 	downs int64
+	// rpcName and onewayName name the server-side processes of
+	// cross-domain calls and one-way messages, built once here instead
+	// of on every message.
+	rpcName, onewayName string
 }
 
 // NewServer returns a server with the given number of worker threads.
@@ -53,7 +57,8 @@ type Server struct {
 // domain group, RPCs from other domains run their service bodies in
 // that domain via the cross-domain rendezvous.
 func NewServer(k *sim.Kernel, name string, threads int) *Server {
-	return &Server{Name: name, k: k, Threads: sim.NewResource(k, "srv:"+name, threads)}
+	return &Server{Name: name, k: k, Threads: sim.NewResource(k, "srv:"+name, threads),
+		rpcName: "rpc:" + name, onewayName: "oneway:" + name}
 }
 
 // Kernel returns the kernel (and therefore the domain) the server's
@@ -136,21 +141,54 @@ func (c *Conn) send(p *sim.Proc, n int64) {
 	p.Sleep(c.Latency)
 }
 
+// Body is the server-side half of one RPC. Serve runs while holding a
+// server thread, in the server's kernel domain, and charges whatever
+// virtual time the operation costs there; it hands its results back by
+// writing them into the receiver, which the caller reads once the call
+// returns.
+//
+// A body is a pointer to a struct that already lives on the heap —
+// typically a request held by value on a long-lived client, reused for
+// each of its (strictly sequential) synchronous RPCs — so passing it
+// allocates nothing, even though the cross-domain path stores it in a
+// message. One body therefore serves both kernel layouts without
+// taxing the single-kernel hot path.
+type Body interface {
+	Serve(sp *sim.Proc)
+}
+
+// BodyFunc adapts a closure to Body, for bodies off the hot path (the
+// closure escapes, so it costs one allocation per call).
+type BodyFunc func(sp *sim.Proc)
+
+// Serve calls f.
+func (f BodyFunc) Serve(sp *sim.Proc) { f(sp) }
+
+// Delay is a Body that only occupies a server thread for its duration.
+type Delay time.Duration
+
+// Serve sleeps the delay.
+func (d *Delay) Serve(sp *sim.Proc) { sp.Sleep(time.Duration(*d)) }
+
 // callCtx is the per-RPC context the cross-domain path threads through
 // sim.Proc.Ctx: service bodies register reply work on it via Defer.
 type callCtx struct {
 	thunks []func()
+	// crashed records that the server went down while the request sat
+	// in its queue (failable calls only).
+	crashed bool
 }
 
 // Defer registers fn as reply-time work for the RPC whose service body
 // is running on p: state the protocol conceptually ships back to the
 // client (cache fills, lease grants) must mutate client-side structures
 // in the client's domain, not the server's. On the inline (same-kernel)
-// path fn runs immediately — the legacy zero-copy semantics; on the
-// cross-domain path it runs in the client's process right after the
-// reply arrives, which is both deterministic and race-free (the client
-// resumes only after a window barrier). Outside any RPC, fn runs
-// immediately.
+// path fn runs immediately; on the cross-domain path it runs in the
+// client's process right after the reply arrives, which is both
+// deterministic and race-free (the client resumes only after a window
+// barrier). Outside any RPC, fn runs immediately. Bodies that can write
+// their results into their own fields instead — for the caller to apply
+// after Call returns — need no Defer at all.
 func Defer(p *sim.Proc, fn func()) {
 	if cc, ok := p.Ctx.(*callCtx); ok && cc != nil {
 		cc.thunks = append(cc.thunks, fn)
@@ -176,65 +214,6 @@ func (c *Conn) cross(p *sim.Proc) bool {
 		p.Kernel().Group() == c.srv.k.Group()
 }
 
-// Call performs a synchronous RPC: request transfer and propagation,
-// queueing for a server thread, the caller-supplied service body, then
-// the reply path. service runs while holding a server thread; it charges
-// whatever virtual time the operation costs at the server. The caller
-// must share a kernel with the server — callers that may live in
-// another domain of a DomainGroup use CallDom.
-func (c *Conn) Call(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) {
-	c.send(p, reqBytes)
-	c.srv.Threads.Acquire(p)
-	service(p)
-	c.srv.Threads.Release()
-	c.send(p, respBytes)
-}
-
-// CallDom is Call for callers that may run in a different kernel domain
-// than the server (internal/shard under Config.Domains). When they do,
-// the body executes in the server's domain (a fresh process created by
-// the message delivery) while the caller blocks; the one-way latency is
-// carried by the message timestamps instead of caller sleeps, and
-// Defer'd reply work runs in the caller's domain after it resumes.
-// Virtual-time cost is identical to the inline path.
-//
-// It is a separate method, not a branch inside Call, for an allocation
-// reason: the cross-domain path stores service in a message, which
-// makes the parameter escape — and Go decides escape per function, so
-// folding the branch into Call would heap-allocate the service closure
-// of every single-kernel RPC in every FS model. Callers that can never
-// be domained use Call and keep their closures on the stack.
-func (c *Conn) CallDom(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) {
-	if c.cross(p) {
-		c.callCross(p, reqBytes, respBytes, service)
-		return
-	}
-	c.Call(p, reqBytes, respBytes, service)
-}
-
-// callCross is the cross-domain rendezvous half of Call.
-func (c *Conn) callCross(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) {
-	if c.wire != nil && reqBytes > 0 {
-		c.wire.Use(p, c.transferTime(reqBytes))
-	}
-	cc := &callCtx{}
-	saved := p.Ctx
-	p.Ctx = cc
-	srv := c.srv
-	sim.Call(p, srv.k, c.Latency, "rpc:"+srv.Name, func(q *sim.Proc) {
-		srv.Threads.Acquire(q)
-		service(q)
-		srv.Threads.Release()
-	})
-	p.Ctx = saved
-	for _, fn := range cc.thunks {
-		fn()
-	}
-	if c.wire != nil && respBytes > 0 {
-		c.wire.Use(p, c.transferTime(respBytes))
-	}
-}
-
 // failTimeout returns the effective client RPC timeout.
 func (c *Conn) failTimeout() time.Duration {
 	if c.FailTimeout > 0 {
@@ -243,54 +222,61 @@ func (c *Conn) failTimeout() time.Duration {
 	return DefaultFailTimeout
 }
 
+// Call performs a synchronous RPC: request transfer and propagation,
+// queueing for a server thread, the body, then the reply path. When the
+// caller runs in another kernel domain than the server, the body
+// executes in the server's domain (a fresh process created by the
+// message delivery) while the caller blocks; the one-way latency is
+// carried by the message timestamps instead of caller sleeps, and
+// Defer'd reply work runs in the caller's domain after it resumes. The
+// virtual-time cost is identical either way.
+func (c *Conn) Call(p *sim.Proc, reqBytes, respBytes int64, b Body) {
+	_ = c.rpc(p, reqBytes, respBytes, b, false)
+}
+
 // TryCall is Call against a server that may be down. A request to a down
 // server blocks for the connection's FailTimeout (the client waiting out
-// its RPC timer) and returns ErrDown without running the service body; a
-// request that was already queued for a worker thread when the server
-// crashed fails the same way once dequeued. Fault-tolerant clients wrap
-// TryCall in a retry loop with deterministic backoff (internal/shard).
-func (c *Conn) TryCall(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) error {
-	if c.srv.down {
+// its RPC timer) and returns ErrDown without running the body; a request
+// that was already queued for a worker thread when the server crashed
+// fails the same way once dequeued (cross-domain: after the wasted round
+// trip). Fault-tolerant clients wrap TryCall in a retry loop with
+// deterministic backoff (internal/shard).
+func (c *Conn) TryCall(p *sim.Proc, reqBytes, respBytes int64, b Body) error {
+	return c.rpc(p, reqBytes, respBytes, b, true)
+}
+
+// rpc is Call (failable false) and TryCall (failable true).
+func (c *Conn) rpc(p *sim.Proc, reqBytes, respBytes int64, b Body, failable bool) error {
+	srv := c.srv
+	// The down flag is safe to read from any domain: under a domain
+	// group it only flips at sync points, where every domain is parked
+	// (the window barrier is the happens-before edge).
+	if failable && srv.down {
 		p.Sleep(c.failTimeout())
 		return ErrDown
+	}
+	if c.cross(p) {
+		return c.rpcCross(p, reqBytes, respBytes, b, failable)
 	}
 	c.send(p, reqBytes)
-	c.srv.Threads.Acquire(p)
-	if c.srv.down {
+	srv.Threads.Acquire(p)
+	if failable && srv.down {
 		// The server crashed while this request sat in its queue: the
 		// service never ran, the client times out like an unsent request.
-		c.srv.Threads.Release()
+		srv.Threads.Release()
 		p.Sleep(c.failTimeout())
 		return ErrDown
 	}
-	service(p)
-	c.srv.Threads.Release()
+	b.Serve(p)
+	srv.Threads.Release()
 	c.send(p, respBytes)
 	return nil
 }
 
-// TryCallDom is TryCall for callers that may run in a different kernel
-// domain than the server — split out of TryCall for the same
-// closure-escape reason as CallDom.
-func (c *Conn) TryCallDom(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) error {
-	// The down flag is safe to read from any domain: under a domain
-	// group it only flips at sync points, where every domain is parked
-	// (the window barrier is the happens-before edge).
-	if c.cross(p) {
-		if c.srv.down {
-			p.Sleep(c.failTimeout())
-			return ErrDown
-		}
-		return c.tryCallCross(p, reqBytes, respBytes, service)
-	}
-	return c.TryCall(p, reqBytes, respBytes, service)
-}
-
-// tryCallCross is the cross-domain rendezvous half of TryCall. A crash
-// landing while the request is queued is detected in the server's
-// domain; the client then waits out its RPC timer after the (wasted)
-// round trip.
-func (c *Conn) tryCallCross(p *sim.Proc, reqBytes, respBytes int64, service func(p *sim.Proc)) error {
+// rpcCross is the cross-domain rendezvous half of rpc. A crash landing
+// while the request is queued is detected in the server's domain; the
+// client then waits out its RPC timer after the (wasted) round trip.
+func (c *Conn) rpcCross(p *sim.Proc, reqBytes, respBytes int64, b Body, failable bool) error {
 	if c.wire != nil && reqBytes > 0 {
 		c.wire.Use(p, c.transferTime(reqBytes))
 	}
@@ -298,19 +284,18 @@ func (c *Conn) tryCallCross(p *sim.Proc, reqBytes, respBytes int64, service func
 	saved := p.Ctx
 	p.Ctx = cc
 	srv := c.srv
-	crashed := false
-	sim.Call(p, srv.k, c.Latency, "rpc:"+srv.Name, func(q *sim.Proc) {
+	sim.Call(p, srv.k, c.Latency, srv.rpcName, func(q *sim.Proc) {
 		srv.Threads.Acquire(q)
-		if srv.down {
+		if failable && srv.down {
 			srv.Threads.Release()
-			crashed = true
+			cc.crashed = true
 			return
 		}
-		service(q)
+		b.Serve(q)
 		srv.Threads.Release()
 	})
 	p.Ctx = saved
-	if crashed {
+	if cc.crashed {
 		p.Sleep(c.failTimeout())
 		return ErrDown
 	}
@@ -324,26 +309,27 @@ func (c *Conn) tryCallCross(p *sim.Proc, reqBytes, respBytes int64, service func
 }
 
 // OneWay models a fire-and-forget message (used for asynchronous
-// write-back flushes): the sender pays the transfer cost and the service
-// body runs in a spawned process after the propagation delay.
-func (c *Conn) OneWay(p *sim.Proc, reqBytes int64, service func(p *sim.Proc)) {
+// write-back flushes): the sender pays the transfer cost and the body
+// runs in a spawned process after the propagation delay. The body
+// outlives the call, so it must not be a request the sender reuses.
+func (c *Conn) OneWay(p *sim.Proc, reqBytes int64, b Body) {
 	if c.wire != nil && reqBytes > 0 {
 		c.wire.Use(p, c.transferTime(reqBytes))
 	}
 	lat := c.Latency
 	srv := c.srv
 	if c.cross(p) {
-		sim.Post(p, srv.k, lat, "oneway:"+srv.Name, func(q *sim.Proc) {
+		sim.Post(p, srv.k, lat, srv.onewayName, func(q *sim.Proc) {
 			srv.Threads.Acquire(q)
-			service(q)
+			b.Serve(q)
 			srv.Threads.Release()
 		})
 		return
 	}
-	p.Spawn("oneway:"+srv.Name, func(q *sim.Proc) {
+	p.Spawn(srv.onewayName, func(q *sim.Proc) {
 		q.Sleep(lat)
 		srv.Threads.Acquire(q)
-		service(q)
+		b.Serve(q)
 		srv.Threads.Release()
 	})
 }

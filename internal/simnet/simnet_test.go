@@ -14,7 +14,7 @@ func TestCallLatencyAndService(t *testing.T) {
 	var elapsed time.Duration
 	k.Spawn("client", func(p *sim.Proc) {
 		start := p.Now()
-		conn.Call(p, 100, 100, func(sp *sim.Proc) { sp.Sleep(500 * time.Microsecond) })
+		conn.Call(p, 100, 100, BodyFunc(func(sp *sim.Proc) { sp.Sleep(500 * time.Microsecond) }))
 		elapsed = p.Now() - start
 	})
 	if err := k.Run(); err != nil {
@@ -33,7 +33,7 @@ func TestThreadPoolQueueing(t *testing.T) {
 	k.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
 			p.Spawn("c", func(q *sim.Proc) {
-				conn.Call(q, 0, 0, func(sp *sim.Proc) { sp.Sleep(time.Millisecond) })
+				conn.Call(q, 0, 0, BodyFunc(func(sp *sim.Proc) { sp.Sleep(time.Millisecond) }))
 			})
 		}
 	})
@@ -53,7 +53,7 @@ func TestBandwidthTransfer(t *testing.T) {
 	var elapsed time.Duration
 	k.Spawn("client", func(p *sim.Proc) {
 		start := p.Now()
-		conn.Call(p, 1<<19, 0, func(sp *sim.Proc) {}) // 512 KB at 1 MB/s = 0.5 s
+		conn.Call(p, 1<<19, 0, BodyFunc(func(sp *sim.Proc) {})) // 512 KB at 1 MB/s = 0.5 s
 		elapsed = p.Now() - start
 	})
 	if err := k.Run(); err != nil {
@@ -72,10 +72,10 @@ func TestOneWayDoesNotBlockSender(t *testing.T) {
 	var sendElapsed time.Duration
 	k.Spawn("client", func(p *sim.Proc) {
 		start := p.Now()
-		conn.OneWay(p, 100, func(sp *sim.Proc) {
+		conn.OneWay(p, 100, BodyFunc(func(sp *sim.Proc) {
 			sp.Sleep(10 * time.Millisecond)
 			served = true
-		})
+		}))
 		sendElapsed = p.Now() - start
 	})
 	if err := k.Run(); err != nil {
@@ -112,10 +112,10 @@ func TestTryCallOnDownServer(t *testing.T) {
 	k.Spawn("client", func(p *sim.Proc) {
 		srv.SetDown()
 		start := p.Now()
-		errDown = conn.TryCall(p, 100, 100, func(sp *sim.Proc) { served++ })
+		errDown = conn.TryCall(p, 100, 100, BodyFunc(func(sp *sim.Proc) { served++ }))
 		downElapsed = p.Now() - start
 		srv.SetUp()
-		errUp = conn.TryCall(p, 100, 100, func(sp *sim.Proc) { served++ })
+		errUp = conn.TryCall(p, 100, 100, BodyFunc(func(sp *sim.Proc) { served++ }))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -144,11 +144,11 @@ func TestTryCallQueuedAtCrash(t *testing.T) {
 	var queuedErr error
 	queuedServed := false
 	k.Spawn("holder", func(p *sim.Proc) {
-		conn.TryCall(p, 0, 0, func(sp *sim.Proc) { sp.Sleep(10 * time.Millisecond) })
+		conn.TryCall(p, 0, 0, BodyFunc(func(sp *sim.Proc) { sp.Sleep(10 * time.Millisecond) }))
 	})
 	k.Spawn("queued", func(p *sim.Proc) {
 		p.Yield() // let the holder occupy the only thread first
-		queuedErr = conn.TryCall(p, 0, 0, func(sp *sim.Proc) { queuedServed = true })
+		queuedErr = conn.TryCall(p, 0, 0, BodyFunc(func(sp *sim.Proc) { queuedServed = true }))
 	})
 	k.Spawn("crasher", func(p *sim.Proc) {
 		p.Sleep(5 * time.Millisecond)

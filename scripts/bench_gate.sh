@@ -132,11 +132,13 @@ else
 fi
 
 # Allocation-creep guards: absolute allocs/op ceilings on the hot
-# simulated-create paths, sized with headroom above the measured
-# steady state (ShardedCreate 7, DomainCreate 17, NFSDomainCreate 13).
-# Closure escapes on these paths creep in silently with refactors;
-# the ceiling turns the creep into a red build instead of a slow one.
-for guard in "BenchmarkShardedCreate 8" "BenchmarkDomainCreate 25" "BenchmarkNFSDomainCreate 20"; do
+# simulated-create paths, set to the measured steady state: the
+# single-kernel creates at 3 (the benchmark's path string, the inode,
+# amortized map growth), DomainCreate 14 and NFSDomainCreate 9 (the
+# cross-domain rendezvous messages on top). RPC bodies are typed
+# requests held on the client (simnet.Body), so a closure or a box
+# slipping onto these paths turns the build red instead of slow.
+for guard in "BenchmarkShardedCreate 3" "BenchmarkSplitCreate 3" "BenchmarkBackendCreate 3" "BenchmarkDomainCreate 14" "BenchmarkNFSDomainCreate 9"; do
 	bench=${guard% *}
 	limit=${guard#* }
 	a=$(extract "$fresh" "$bench" allocs_per_op)
