@@ -272,11 +272,6 @@ func BenchmarkE35FilerAtScale(b *testing.B) {
 		"shed fraction", "loaded  foreground p99")
 }
 
-func BenchmarkE36AdaptiveLookahead(b *testing.B) {
-	runExperiment(b, experiments.E36AdaptiveLookahead,
-		"sparse adaptive windows", "sparse byte-identical")
-}
-
 func BenchmarkA01AveragingMethods(b *testing.B) {
 	runExperiment(b, experiments.A01AveragingMethods,
 		"wall-clock average", "stonewall average")

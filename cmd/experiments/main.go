@@ -47,6 +47,10 @@ func main() {
 		period     = flag.Duration("period", 0, "override the virtual-time horizon of the long-horizon experiments (E31-E33, E35), e.g. -period 10m for a scaled-down smoke run (0 = each experiment's default)")
 	)
 	flag.Parse()
+	if err := checkFlags(*workers, *domains, *period); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	experiments.Domains = *domains
 	experiments.Period = *period
 
@@ -143,11 +147,7 @@ func main() {
 		}
 		md.WriteString("| Metric | Value | Unit | Note |\n|---|---:|---|---|\n")
 		for _, row := range rep.Rows {
-			val := fmt.Sprintf("%.1f", row.Value)
-			if row.Value < 10 && row.Value > -10 && row.Value != float64(int64(row.Value)) {
-				val = fmt.Sprintf("%.3f", row.Value)
-			}
-			fmt.Fprintf(&md, "| %s | %s | %s | %s |\n", row.Name, val, row.Unit, row.Note)
+			fmt.Fprintf(&md, "| %s | %s | %s | %s |\n", row.Name, experiments.FormatValue(row.Value), row.Unit, row.Note)
 		}
 		md.WriteString("\n")
 		for _, f := range rep.Findings {
@@ -184,6 +184,21 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkFlags rejects numeric flag values that have no meaning: a
+// worker pool needs at least one worker, and neither a domain count nor
+// a virtual-time horizon can be negative.
+func checkFlags(workers, domains int, period time.Duration) error {
+	switch {
+	case workers < 1:
+		return fmt.Errorf("-j must be at least 1, got %d", workers)
+	case domains < 0:
+		return fmt.Errorf("-domains must not be negative, got %d", domains)
+	case period < 0:
+		return fmt.Errorf("-period must not be negative, got %v", period)
+	}
+	return nil
 }
 
 // compileFilter turns the -run argument into an id predicate. Each

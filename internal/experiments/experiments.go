@@ -30,7 +30,7 @@ var Domains int
 // newShardFS, newNFSFS and newLustreFS are the construction points for
 // the three file-system models in this package; they apply the
 // package-wide Domains override so one flag domains every experiment.
-// E34–E36 bypass them deliberately — those experiments pin their own
+// E34 and E35 bypass them deliberately — those experiments pin their own
 // Domains so their reports are byte-identical at any -domains value.
 func newShardFS(k *sim.Kernel, name string, cfg shard.Config) *shard.FS {
 	if Domains > 0 {
@@ -89,6 +89,15 @@ func (r *Report) finding(format string, args ...interface{}) {
 	r.Findings = append(r.Findings, fmt.Sprintf(format, args...))
 }
 
+// FormatValue renders a row value the way every report prints it: one
+// decimal, or three for a fraction strictly between -10 and 10.
+func FormatValue(v float64) string {
+	if v < 10 && v > -10 && v != float64(int64(v)) {
+		return fmt.Sprintf("%.3f", v)
+	}
+	return fmt.Sprintf("%.1f", v)
+}
+
 // String renders the report as text.
 func (r *Report) String() string {
 	var b strings.Builder
@@ -98,11 +107,7 @@ func (r *Report) String() string {
 		if row.Note != "" {
 			note = "  # " + row.Note
 		}
-		val := fmt.Sprintf("%14.1f", row.Value)
-		if row.Value < 10 && row.Value > -10 && row.Value != float64(int64(row.Value)) {
-			val = fmt.Sprintf("%14.3f", row.Value)
-		}
-		fmt.Fprintf(&b, "  %-46s %s %-8s%s\n", row.Name, val, row.Unit, note)
+		fmt.Fprintf(&b, "  %-46s %14s %-8s%s\n", row.Name, FormatValue(row.Value), row.Unit, note)
 	}
 	for _, f := range r.Findings {
 		fmt.Fprintf(&b, "  -> %s\n", f)
@@ -159,9 +164,8 @@ func All() []Experiment {
 		{"E31", E31AggregateDay, 2},
 		{"E32", E32ForegroundTail, 3},
 		{"E33", E33CapacityPressure, 3},
-		{"E34", E34DomainedServers, 6},   // 2 file systems x (legacy, dom-w1, dom-w8)
-		{"E35", E35FilerAtScale, 2},      // quiet + loaded day
-		{"E36", E36AdaptiveLookahead, 6}, // 3 cells x (adaptive, fixed)
+		{"E34", E34DomainedServers, 6}, // 2 file systems x (legacy, dom-w1, dom-w8)
+		{"E35", E35FilerAtScale, 2},    // quiet + loaded day
 	}
 }
 

@@ -13,21 +13,19 @@ import (
 	"dmetabench/internal/nfs"
 	"dmetabench/internal/results"
 	"dmetabench/internal/service"
-	"dmetabench/internal/shard"
 	"dmetabench/internal/sim"
 	"dmetabench/internal/workload"
 )
 
-// E34–E36: the shared metadata-service runtime. PR 8 brought the
-// conservative-lookahead parallel kernel to the sharded MDS only; the
-// substrate now lives in internal/service and every file-system model —
+// E34–E35: the shared metadata-service runtime. The
+// conservative-lookahead parallel kernel first served the sharded MDS
+// only; the substrate now lives in internal/service and every file-system model —
 // NFS filer, Lustre MDS/OSS, sharded — runs through it. These
 // experiments measure what that buys: E34 the protocol overhead and
-// parallelism headroom of domaining the single-server models, E35 the
-// paper's filer confronted with a modern million-client population, and
-// E36 the window-count reduction of the adaptive lookahead rule.
+// parallelism headroom of domaining the single-server models, and E35
+// the paper's filer confronted with a modern million-client population.
 //
-// All three pin their own Domains (bypassing the package-wide override)
+// Both pin their own Domains (bypassing the package-wide override)
 // so the committed corpus is byte-identical at any -domains value, and
 // every cell is a pure function of its seed, so the reports are
 // byte-identical at any -j/worker count.
@@ -37,7 +35,7 @@ type grouper interface{ Group() *sim.DomainGroup }
 
 // fingerprintSet serializes a result set exactly as Save would write its
 // trace/summary/series files — the byte-identity unit the determinism
-// rows of E34 and E36 compare in memory.
+// rows of E34 compare in memory.
 func fingerprintSet(set *results.Set) string {
 	if set == nil {
 		return ""
@@ -75,7 +73,7 @@ func groupStats(g *sim.DomainGroup) (windows int64, events int64, headroom float
 	return g.Windows(), events, float64(events) / float64(max)
 }
 
-// e34Cell is one E34/E36 run: a fixed create+stat workload on one
+// e34Cell is one E34 run: a fixed create+stat workload on one
 // single-server model, with the post-run group statistics.
 type e34Cell struct {
 	set      *results.Set
@@ -103,9 +101,9 @@ func e34Workload(k *sim.Kernel, fsys core.FileSystem) (*results.Set, error) {
 
 // runE34Cell builds the model named by fs ("nfs" or "lustre") with the
 // given domain count, runs the workload and reads the group statistics.
-// adaptive toggles the lookahead rule (E36); workers sizes the OS-thread
-// pool (0 = default) — both must not change a single reported byte.
-func runE34Cell(fsName string, domains, workers int, adaptive bool) e34Cell {
+// workers sizes the OS-thread pool (0 = default) and must not change a
+// single reported byte.
+func runE34Cell(fsName string, domains, workers int) e34Cell {
 	k := sim.New(3400)
 	var fsys core.FileSystem
 	var grp grouper
@@ -122,11 +120,8 @@ func runE34Cell(fsName string, domains, workers int, adaptive bool) e34Cell {
 		fsys, grp = f, f
 	}
 	g := grp.Group()
-	if g != nil {
-		if workers > 0 {
-			g.Workers = workers
-		}
-		g.Adaptive = adaptive
+	if g != nil && workers > 0 {
+		g.Workers = workers
 	}
 	set, err := e34Workload(k, fsys)
 	c := e34Cell{set: set}
@@ -168,7 +163,7 @@ func E34DomainedServers() *Report {
 	}
 	cells := parCells("E34", names, func(i int) e34Cell {
 		s := specs[i]
-		return runE34Cell(s.fs, s.domains, s.workers, true)
+		return runE34Cell(s.fs, s.domains, s.workers)
 	})
 	for i := range cells {
 		if cells[i].err != "" {
@@ -350,143 +345,5 @@ func E35FilerAtScale() *Report {
 		100*l.shedFrac(), safeDiv(lw.PeakAuxRate, lw.TroughAuxRate),
 		safeDiv(float64(lw.MaxP99.Microseconds()), float64(qw.MaxP99.Microseconds())),
 		float64(lw.MaxP99.Microseconds()), float64(qw.MaxP99.Microseconds()))
-	return r
-}
-
-// runE36Shard is E36's heavy sharded cell: E20's replicated 8-shard
-// create load (16 nodes x 4 processes) partitioned into 9 domains —
-// the cell whose window count the adaptive rule is meant to cut.
-func runE36Shard(adaptive bool) e34Cell {
-	k := sim.New(3600)
-	cl := cluster.New(k, cluster.DefaultConfig(16))
-	cfg := shard.DefaultConfig(8)
-	cfg.Replicate = true
-	cfg.Domains = 9 // pinned: 8 shard domains + the client domain
-	fsys := shard.New(k, "meta", cfg)
-	g := fsys.Group()
-	g.Adaptive = adaptive
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: 2000, WorkDir: "/bench"},
-		SlotsPerNode: 4,
-		Plugins:      []core.Plugin{core.MakeFiles{}},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 16 && c.PPN == 4 },
-	}
-	set, err := r.Run()
-	c := e34Cell{set: set}
-	if err != nil {
-		c.err = err.Error()
-		return c
-	}
-	c.fp = fingerprintSet(set)
-	c.windows, c.events, c.headroom = groupStats(g)
-	return c
-}
-
-// runE36Sparse is E36's sparse cell: two cache-hit probes on the
-// domained filer, think time well above the lookahead, stats served
-// from the attribute cache between TTL refreshes. The client domain's
-// events are spaced wider than the fixed window while the filer domain
-// idles between WAFL ticks — the phase structure the adaptive rule
-// exists for: the lone-minimum client extends its window to the filer's
-// next timer and crosses the idle span in one barrier instead of one
-// per think step.
-func runE36Sparse(adaptive bool) e34Cell {
-	k := sim.New(3601)
-	cl := cluster.New(k, cluster.DefaultConfig(2))
-	cfg := nfs.DefaultConfig()
-	cfg.Domains = 2
-	fsys := nfs.New(k, "home", cfg)
-	g := fsys.Group()
-	g.Adaptive = adaptive
-	r := &core.StageRunner{
-		Cluster:  cl,
-		FS:       fsys,
-		Probes:   2,
-		Interval: time.Second,
-		Think:    2 * time.Millisecond,
-		Label:    "E36-sparse",
-		Stages:   []core.Stage{{Name: "cached", Duration: 30 * time.Second}},
-	}
-	set, err := r.Run()
-	c := e34Cell{set: set}
-	if err != nil {
-		c.err = err.Error()
-		return c
-	}
-	c.fp = fingerprintSet(set)
-	c.windows, c.events, c.headroom = groupStats(g)
-	return c
-}
-
-// E36AdaptiveLookahead measures the adaptive window rule of the domain
-// scheduler (internal/sim): when one domain uniquely holds the earliest
-// next event, its window extends to the second-minimum plus the
-// lookahead instead of the classic fixed edge. The delivered event
-// schedule is provably identical — every cell here is byte-compared
-// between adaptive and fixed — so the entire effect is fewer, fuller
-// windows: fewer barrier crossings, less per-window coordination. Three
-// cells bound the effect: the heavy E20-family sharded cell and the E34
-// filer cell (saturated — every domain busy every window, little to
-// merge) and a sparse cache-hit cell (idle filer between TTL refreshes
-// — the regime the rule was built for).
-func E36AdaptiveLookahead() *Report {
-	r := &Report{ID: "E36", Title: "Adaptive vs fixed lookahead windows",
-		PaperRef: "beyond §3.2 (conservative-lookahead scheduling)"}
-	names := []string{"shard-adaptive", "shard-fixed", "nfs-adaptive", "nfs-fixed",
-		"sparse-adaptive", "sparse-fixed"}
-	cells := parCells("E36", names, func(i int) e34Cell {
-		switch i {
-		case 0:
-			return runE36Shard(true)
-		case 1:
-			return runE36Shard(false)
-		case 2:
-			return runE34Cell("nfs", 2, 0, true)
-		case 3:
-			return runE34Cell("nfs", 2, 0, false)
-		case 4:
-			return runE36Sparse(true)
-		default:
-			return runE36Sparse(false)
-		}
-	})
-	for i := range cells {
-		if cells[i].err != "" {
-			r.finding("cell %s failed: %s", names[i], cells[i].err)
-			return r
-		}
-		r.Sets = append(r.Sets, cells[i].set)
-	}
-	for fi, model := range []string{"shard", "nfs", "sparse"} {
-		ad, fx := &cells[2*fi], &cells[2*fi+1]
-		det := 0.0
-		if ad.fp != "" && ad.fp == fx.fp {
-			det = 1
-		}
-		r.row(fmt.Sprintf("%-6s fixed    windows", model), float64(fx.windows), "", "")
-		r.row(fmt.Sprintf("%-6s adaptive windows", model), float64(ad.windows), "",
-			fmt.Sprintf("%.2fx fewer", safeDiv(float64(fx.windows), float64(ad.windows))))
-		r.row(fmt.Sprintf("%-6s events/window gain", model),
-			safeDiv(safeDiv(float64(ad.events), float64(ad.windows)),
-				safeDiv(float64(fx.events), float64(fx.windows))), "x",
-			"fuller windows, same schedule")
-		r.row(fmt.Sprintf("%-6s byte-identical", model), det, "",
-			"1 = adaptive run == fixed run")
-	}
-	det := cells[0].fp == cells[1].fp && cells[2].fp == cells[3].fp &&
-		cells[4].fp == cells[5].fp
-	r.finding("adaptive lookahead is a pure scheduling optimization — every "+
-		"cell's results are byte-identical to its fixed-window twin (%v). On "+
-		"saturated cells the gain is marginal (%.2fx sharded, %.2fx filer: "+
-		"every domain holds events every window, nothing to merge); on the "+
-		"sparse cache-hit cell the lone-minimum extension crosses the filer's "+
-		"idle spans in one barrier and cuts the window count %.1fx — the "+
-		"modeled bound on barrier-synchronization savings for a multi-core run",
-		det,
-		safeDiv(float64(cells[1].windows), float64(cells[0].windows)),
-		safeDiv(float64(cells[3].windows), float64(cells[2].windows)),
-		safeDiv(float64(cells[5].windows), float64(cells[4].windows)))
 	return r
 }

@@ -46,8 +46,8 @@ import (
 // Runtime is the domain-placement substrate for one FS model: a client
 // kernel (domain 0) plus one kernel per server, assigned round-robin
 // over domains 1..D-1. With Domains <= 1 it is inert — every accessor
-// returns the base kernel and the model runs exactly its legacy
-// single-heap code path.
+// returns the base kernel and the model runs exactly its single-heap
+// code path.
 type Runtime struct {
 	k       *sim.Kernel
 	g       *sim.DomainGroup
@@ -109,6 +109,32 @@ func (rt *Runtime) AtSync(p *sim.Proc, fn func()) {
 		return
 	}
 	rt.g.AtSync(p, p.Now(), fn)
+}
+
+// After runs fn d after the current instant, as the next step of a
+// transition begun by AtSync: through a timer process on the single
+// kernel, else as a sync point at now+d, with every domain parked.
+// Call it only from inside a function AtSync (or After) runs — that is
+// the one place where "now" is the same instant on every domain and the
+// single kernel has a running process to spawn the timer from. name
+// labels the timer process.
+func (rt *Runtime) After(name string, d time.Duration, fn func()) {
+	if rt.g == nil {
+		rt.k.AfterFunc(name, d, func(*sim.Proc) { fn() })
+		return
+	}
+	rt.g.AtSyncAbs(rt.k.Now()+d, fn)
+}
+
+// SyncDelay returns how long after an AtSync call its function runs:
+// 0 on the single kernel (inline), the lookahead under domains. A
+// caller that must not act before the transition it registered sleeps
+// this long.
+func (rt *Runtime) SyncDelay() time.Duration {
+	if rt.g == nil {
+		return 0
+	}
+	return rt.g.SyncDelay()
 }
 
 // Demand is one tick's background arrivals for one injector lane, by

@@ -89,6 +89,38 @@ func TestAtSync(t *testing.T) {
 	}
 }
 
+// TestAfterChains checks a transition chained with After from inside an
+// AtSync function: each step lands d after the previous one on both
+// kernels, and SyncDelay is exactly the gap between the AtSync call and
+// its first step.
+func TestAfterChains(t *testing.T) {
+	for _, domains := range []int{0, 2} {
+		k := sim.New(1)
+		rt := New(k, 1, domains, time.Millisecond)
+		var start, first, second time.Duration
+		k.Spawn("p", func(p *sim.Proc) {
+			p.Sleep(time.Second)
+			start = p.Now()
+			rt.AtSync(p, func() {
+				first = k.Now()
+				rt.After("step", 5*time.Millisecond, func() {
+					second = k.Now()
+				})
+			})
+			p.Sleep(10 * time.Millisecond)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := first - start; got != rt.SyncDelay() {
+			t.Errorf("Domains=%d: AtSync ran %v after the call, SyncDelay = %v", domains, got, rt.SyncDelay())
+		}
+		if got := second - first; got != 5*time.Millisecond {
+			t.Errorf("Domains=%d: After step ran %v after its AtSync step, want 5ms", domains, got)
+		}
+	}
+}
+
 func TestPriceTable(t *testing.T) {
 	d := Demand{Getattr: 3, Lookup: 2, Readdir: 1, Create: 4}
 	if got := d.Total(); got != 10 {

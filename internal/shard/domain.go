@@ -21,10 +21,14 @@ package shard
 //   - Sync points. Rare global transitions — crash, takeover, failback,
 //     epoch bumps, serving[] changes, split phase 1 — run at registered
 //     virtual instants where every domain is parked at exactly that
-//     time (sim.DomainGroup.AtSync). Between sync points that state is
-//     immutable, so the hot paths (routing, retry redirection, split
-//     levels, down checks) read it from any domain without
-//     synchronization.
+//     time. Each transition is one body for both kernels, written
+//     against the service runtime: Runtime.AtSync starts it,
+//     Runtime.After chains its later steps, and Runtime.SyncDelay is
+//     how long a caller waits for its own transition to land (zero on
+//     the single kernel, where AtSync runs inline and After is a
+//     timer). Between sync points that state is immutable, so the hot
+//     paths (routing, retry redirection, split levels, down checks)
+//     read it from any domain without synchronization.
 //
 //   - Forwarding. When a request discovers mid-body that the state it
 //     must touch lives in another domain — a split or failback re-homed
@@ -37,8 +41,9 @@ package shard
 //     typed values (steps, lease ops), so only the forwarding branch
 //     builds a closure.
 //
-// With Domains <= 1 none of this engages: every helper degrades to the
-// exact single-kernel code path, byte for byte.
+// With Domains <= 1 no cross-domain machinery engages: forwarding and
+// lease routing run inline, sync points run immediately, and the output
+// is byte-identical to the single-heap kernel's.
 
 import (
 	"sort"
@@ -61,12 +66,6 @@ func (f *FS) kFor(i int) *sim.Kernel { return f.rt.KernelFor(i) }
 // the server currently serving it. serving[] changes only at sync
 // points, so the read is safe from any domain.
 func (f *FS) sliceKernel(s int) *sim.Kernel { return f.kFor(f.serving[s]) }
-
-// atSync runs fn at the next safe global instant: immediately when
-// undomained (the single kernel is always globally quiescent between
-// events), else at a sync point one lookahead window ahead, with every
-// domain parked at exactly that time.
-func (f *FS) atSync(p *sim.Proc, fn func()) { f.rt.AtSync(p, fn) }
 
 // peerLeg runs body on ps's peer pool across the interconnect:
 // coordination CPU on the caller, the round trip, and the body holding
@@ -187,13 +186,8 @@ func (f *FS) persistAt(q *sim.Proc, state, srv, orig *shardSrv, kind fs.OpKind, 
 // recordCompaction appends one LSM compaction event. Under domains the
 // shards stall concurrently, so the slice is mutex-guarded and kept
 // ordered by (At, Shard) — the set of events is deterministic, their
-// wall-clock arrival order is not. Undomained it is a plain append (the
-// single kernel already appends in virtual-time order).
+// wall-clock arrival order is not.
 func (f *FS) recordCompaction(ev CompactionEvent) {
-	if !f.domained() {
-		f.Compactions = append(f.Compactions, ev)
-		return
-	}
 	f.evMu.Lock()
 	defer f.evMu.Unlock()
 	i := sort.Search(len(f.Compactions), func(i int) bool {

@@ -296,3 +296,46 @@ func TestTakeoverScalesWithJournal(t *testing.T) {
 		t.Fatalf("takeover with 1000 dirty entries (%v) not longer than with 50 (%v)", large, small)
 	}
 }
+
+func TestDoubleRestartRecoversOnce(t *testing.T) {
+	// A second Restart while the first recovery is still replaying is a
+	// no-op on both kernels: one failback, one epoch bump, one journal
+	// checkpoint.
+	for _, domains := range []int{0, 3} {
+		t.Run(fmt.Sprintf("domains=%d", domains), func(t *testing.T) {
+			cfg := replCfg()
+			cfg.Domains = domains
+			k, cl, f := env(t, 1, cfg)
+			dir := dirOnShard(t, f, 0)
+			var bumps uint64
+			drive(t, k, cl, f, func(c fs.Client, p *sim.Proc) {
+				if err := c.Mkdir(dir); err != nil {
+					t.Errorf("mkdir: %v", err)
+					return
+				}
+				for i := 0; i < 20; i++ {
+					if err := c.Create(fmt.Sprintf("%s/f%d", dir, i)); err != nil {
+						t.Errorf("create: %v", err)
+						return
+					}
+				}
+				f.Crash(p, 0)
+				p.Sleep(time.Second) // takeover completes
+				before := f.Epoch(0)
+				f.Restart(p, 0)
+				f.Restart(p, 0)
+				p.Sleep(time.Second) // recovery completes
+				bumps = f.Epoch(0) - before
+				if !f.Up(0) || f.ServingShard(0) != 0 {
+					t.Errorf("after restart: up=%v serving=%d, want true/0", f.Up(0), f.ServingShard(0))
+				}
+			})
+			if bumps != 1 {
+				t.Errorf("epoch bumps = %d, want 1", bumps)
+			}
+			if n := f.shards[0].checkpoints; n != 1 {
+				t.Errorf("checkpoints = %d, want 1", n)
+			}
+		})
+	}
+}

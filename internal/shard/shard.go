@@ -579,64 +579,16 @@ func (f *FS) backupOf(i int) int { return (i + 1) % len(f.shards) }
 // journal and takes over serving the slice (recorded in Takeovers).
 // Crash implements fault.Target.
 //
-// Under kernel domains every step of the crash/takeover sequence is a
-// sync point (domain.go): serving[], the down flags, epochs and lease
-// tables are read lock-free from every domain, so they may only change
-// with all domains parked at one instant. The legacy path applies the
-// crash immediately and schedules the takeover with a timer.
-func (f *FS) Crash(p *sim.Proc, i int) {
-	if f.domained() {
-		f.crashDomained(p, i)
-		return
-	}
-	sh := f.shards[i]
-	if !sh.up {
-		return
-	}
-	sh.up = false
-	sh.srv.SetDown()
-	sh.peer.SetDown()
-	if !f.replicated() {
-		return
-	}
-	b := f.backupOf(i)
-	if !f.shards[b].up {
-		return // no live backup: the slice stays dark until restart
-	}
-	crashAt := p.Now()
-	f.k.AfterFunc("takeover:"+strconv.Itoa(i), f.cfg.TakeoverDetect, func(q *sim.Proc) {
-		if sh.up || !f.shards[b].up {
-			// The primary returned before the lease expired, or the
-			// backup died during the detection window — either way
-			// there is nothing to promote.
-			return
-		}
-		entries := len(sh.journal)
-		replay := time.Duration(entries) * f.shards[b].be.replayPerEntry()
-		q.Sleep(replay)
-		if sh.up || !f.shards[b].up {
-			return // the primary recovered first, or the backup crashed mid-replay
-		}
-		f.serving[i] = b
-		// The promoted backup knows nothing about the leases the dead
-		// primary granted: the slice's lease state dies with it and the
-		// epoch moves on (crash-time bulk invalidation, E24).
-		f.invalidateSliceLeases(i)
-		f.Takeovers = append(f.Takeovers, Takeover{
-			Shard: i, Backup: b, CrashAt: crashAt,
-			Detect: f.cfg.TakeoverDetect, Replay: replay, Entries: entries,
-		})
-	})
-}
-
-// crashDomained runs the crash and the ensuing takeover as a chain of
-// sync points: the crash lands one lookahead after the injector's call
-// (the earliest instant every domain can rendezvous), detection fires
-// TakeoverDetect later, and the promotion lands after the replay time —
+// Every step of the crash/takeover sequence runs through the service
+// runtime's sync discipline (domain.go): serving[], the down flags,
+// epochs and lease tables are read lock-free from every domain, so they
+// change only at sync points. On the single kernel the crash applies
+// immediately and the later steps are timers; under domains the crash
+// lands one lookahead after the injector's call, detection fires
+// TakeoverDetect later, and the promotion lands after the replay time,
 // with the journal length read while its shard's domain is parked.
-func (f *FS) crashDomained(p *sim.Proc, i int) {
-	g := f.rt.Group()
-	g.AtSync(p, p.Now(), func() {
+func (f *FS) Crash(p *sim.Proc, i int) {
+	f.rt.AtSync(p, func() {
 		sh := f.shards[i]
 		if !sh.up {
 			return
@@ -652,17 +604,24 @@ func (f *FS) crashDomained(p *sim.Proc, i int) {
 			return // no live backup: the slice stays dark until restart
 		}
 		crashAt := f.k.Now()
-		g.AtSyncAbs(crashAt+f.cfg.TakeoverDetect, func() {
+		f.rt.After("takeover:"+strconv.Itoa(i), f.cfg.TakeoverDetect, func() {
 			if sh.up || !f.shards[b].up {
-				return // primary returned, or the backup died meanwhile
+				// The primary returned before the lease expired, or the
+				// backup died during the detection window — either way
+				// there is nothing to promote.
+				return
 			}
 			entries := len(sh.journal)
 			replay := time.Duration(entries) * f.shards[b].be.replayPerEntry()
-			g.AtSyncAbs(f.k.Now()+replay, func() {
+			f.rt.After("promote:"+strconv.Itoa(i), replay, func() {
 				if sh.up || !f.shards[b].up {
-					return // primary recovered first, or backup crashed mid-replay
+					return // the primary recovered first, or the backup crashed mid-replay
 				}
 				f.serving[i] = b
+				// The promoted backup knows nothing about the leases the
+				// dead primary granted: the slice's lease state dies with
+				// it and the epoch moves on (crash-time bulk
+				// invalidation, E24).
 				f.invalidateSliceLeases(i)
 				f.Takeovers = append(f.Takeovers, Takeover{
 					Shard: i, Backup: b, CrashAt: crashAt,
@@ -676,48 +635,33 @@ func (f *FS) crashDomained(p *sim.Proc, i int) {
 // Restart begins shard i's recovery at the current virtual time: the
 // server replays its journal, then returns to service and reclaims its
 // slice from the backup (failback). Restart implements fault.Target.
+// The same sync discipline as Crash applies: the journal is read and
+// the failback committed at sync points. A Restart issued while a
+// recovery is still replaying finds the server up when its own replay
+// ends and does nothing.
 func (f *FS) Restart(p *sim.Proc, i int) {
-	if f.domained() {
-		// Same sync-point discipline as crashDomained: the journal is
-		// read and the failback committed with every domain parked.
-		g := f.rt.Group()
-		g.AtSync(p, p.Now(), func() {
-			sh := f.shards[i]
+	f.rt.AtSync(p, func() {
+		sh := f.shards[i]
+		if sh.up {
+			return
+		}
+		replay := time.Duration(len(sh.journal)) * sh.be.replayPerEntry()
+		f.rt.After("recover:"+strconv.Itoa(i), replay, func() {
 			if sh.up {
 				return
 			}
-			replay := time.Duration(len(sh.journal)) * sh.be.replayPerEntry()
-			g.AtSyncAbs(f.k.Now()+replay, func() {
-				if sh.up {
-					return
-				}
-				sh.up = true
-				sh.srv.SetUp()
-				sh.peer.SetUp()
-				f.serving[i] = i
-				sh.journal = sh.journal[:0]
-				sh.checkpoints++
-				f.invalidateSliceLeases(i)
-			})
+			sh.up = true
+			sh.srv.SetUp()
+			sh.peer.SetUp()
+			f.serving[i] = i
+			sh.journal = sh.journal[:0] // recovery checkpoints the journal
+			sh.checkpoints++
+			// Failback is another serving change the restarted primary
+			// has no lease state for; leases granted meanwhile (by the
+			// backup, or pre-crash by the primary itself) die with the
+			// epoch.
+			f.invalidateSliceLeases(i)
 		})
-		return
-	}
-	sh := f.shards[i]
-	if sh.up {
-		return
-	}
-	replay := time.Duration(len(sh.journal)) * sh.be.replayPerEntry()
-	f.k.AfterFunc("recover:"+strconv.Itoa(i), replay, func(q *sim.Proc) {
-		sh.up = true
-		sh.srv.SetUp()
-		sh.peer.SetUp()
-		f.serving[i] = i
-		sh.journal = sh.journal[:0] // recovery checkpoints the journal
-		sh.checkpoints++
-		// Failback is another serving change the restarted primary has
-		// no lease state for; leases granted meanwhile (by the backup,
-		// or pre-crash by the primary itself) die with the epoch.
-		f.invalidateSliceLeases(i)
 	})
 }
 
@@ -1650,73 +1594,41 @@ func (r *req) rmdir(sp *sim.Proc, at *shardSrv) {
 	cfg := &f.cfg
 	f.serviceOp(sp, at, r.svc, -1, writeInfo(p, -1))
 	// A split directory is empty only when every partition slice
-	// agrees: the peer replicas are checked logically before the
-	// removal commits (no time may pass between check and apply), and
-	// the probe traffic — one interconnect hop per live peer slice
-	// examined, local when a failover co-located the slice here (the
-	// fanout rule) — is paid after the outcome is decided, on
-	// success and on ENOTEMPTY alike. A down peer's state still counts,
-	// the way replicate applies to down shards.
-	var probes []int
-	payProbes := func() {
-		for _, s := range probes {
+	// agrees. A peer partition need not live in this domain, so each
+	// probe pays its hop up front — one interconnect hop per live peer
+	// slice, local when a failover co-located the slice here (the
+	// fanout rule) — and checks emptiness at its own arrival instant:
+	// the check-to-commit window a real distributed rmdir has. Probing
+	// stops at the first non-empty partition. A down peer's state still
+	// counts, the way replicate applies to down shards.
+	if f.splitLevel(p) > 0 {
+		for _, s := range f.splitSlices(p)[1:] {
 			peer := f.srvFor(s)
+			notEmpty := false
+			check := func(q *sim.Proc) {
+				notEmpty = hasFileEntries(f.shards[s].ns, p, q.Now())
+			}
 			switch {
 			case !peer.up:
+				// Reading a down peer's state is a rendezvous with its
+				// domain, no thread occupancy.
+				if dk := f.sliceKernel(s); dk != sp.Kernel() {
+					sim.Call(sp, dk, f.cfg.CrossShardLatency, "rmdirprobe", check)
+				} else {
+					check(sp)
+				}
 			case peer == at:
 				f.chargeOp(sp, peer, cfg.ReaddirService, -1, scanInfo())
+				check(sp)
 			default:
 				f.hop(sp, peer, func(q *sim.Proc) {
 					f.chargeOp(q, peer, cfg.ReaddirService, -1, scanInfo())
+					check(q)
 				})
 			}
-		}
-	}
-	if f.splitLevel(p) > 0 {
-		if f.domained() {
-			// A peer partition cannot be read from this domain: each
-			// probe pays its hop up front and checks emptiness at its
-			// own arrival instant — the check-to-commit window a real
-			// distributed rmdir has — stopping at the first non-empty
-			// partition.
-			for _, s := range f.splitSlices(p)[1:] {
-				s := s
-				peer := f.srvFor(s)
-				notEmpty := false
-				check := func(q *sim.Proc) {
-					notEmpty = hasFileEntries(f.shards[s].ns, p, q.Now())
-				}
-				switch {
-				case !peer.up:
-					// A down peer's state still counts; reading it is a
-					// rendezvous with its domain, no thread occupancy.
-					if dk := f.sliceKernel(s); dk != sp.Kernel() {
-						sim.Call(sp, dk, f.cfg.CrossShardLatency, "rmdirprobe", check)
-					} else {
-						check(sp)
-					}
-				case peer == at:
-					f.chargeOp(sp, peer, cfg.ReaddirService, -1, scanInfo())
-					check(sp)
-				default:
-					f.hop(sp, peer, func(q *sim.Proc) {
-						f.chargeOp(q, peer, cfg.ReaddirService, -1, scanInfo())
-						check(q)
-					})
-				}
-				if notEmpty {
-					r.err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
-					return
-				}
-			}
-		} else {
-			for _, s := range f.splitSlices(p)[1:] {
-				probes = append(probes, s)
-				if hasFileEntries(f.shards[s].ns, p, sp.Now()) {
-					r.err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
-					payProbes() // the failed probe ran its readdirs too
-					return
-				}
+			if notEmpty {
+				r.err = fs.NewError("rmdir", p, fs.ENOTEMPTY)
+				return
 			}
 		}
 	}
@@ -1724,12 +1636,11 @@ func (r *req) rmdir(sp *sim.Proc, at *shardSrv) {
 	if r.err == nil {
 		// The split-level map is global routing state: under domains it
 		// changes only at sync points.
-		f.atSync(sp, func() { f.dropSplit(p) })
+		f.rt.AtSync(sp, func() { f.dropSplit(p) })
 		f.replicate(sp, state, r.svc, fs.OpRmdir, p)
 		f.revokeOnMutate(sp, c.st(), p, true)
 		f.dropDelegation(sp, p)
 		f.persistAt(sp, state, at, r.srv, fs.OpRmdir, p, cfg.MetaLogBytes)
-		payProbes()
 	}
 }
 
@@ -1930,15 +1841,14 @@ func (r *req) migrate(sp *sim.Proc) {
 		// mirror round trip.
 		dstSrv.be.log(q, cfg.MetaLogBytes)
 		f.commit(q, dstState, dstSrv, fs.OpRename, newPath)
-		if f.domained() {
-			// The coordinator cannot read the destination parent from its
-			// domain: capture the split trigger's entry count (and the
-			// new entry's attributes) here, at the insert instant.
-			if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-				dstParentN = ndir.NumChildren()
-			}
-			c.captureEntry(q, newPath)
+		// The coordinator need not share the destination parent's
+		// domain: capture the split trigger's entry count (and, under
+		// domains, the new entry's attributes) here, at the insert
+		// instant.
+		if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
+			dstParentN = ndir.NumChildren()
 		}
+		c.captureEntry(q, newPath)
 	})
 	if r.err != nil || r.moved {
 		if r.moved {
@@ -1964,12 +1874,8 @@ func (r *req) migrate(sp *sim.Proc) {
 		// coordinator, never from inside the hop — a split hops to peer
 		// pools itself, and peer-pool threads must not wait on other
 		// peer pools.
-		if f.domained() {
-			if dstParentN >= 0 {
-				f.maybeSplit(sp, fs.ParentDir(newPath), dstParentN, c.st())
-			}
-		} else if ndir, nlerr := dstState.ns.Lookup(fs.ParentDir(newPath)); nlerr == nil {
-			f.maybeSplit(sp, fs.ParentDir(newPath), ndir.NumChildren(), c.st())
+		if dstParentN >= 0 {
+			f.maybeSplit(sp, fs.ParentDir(newPath), dstParentN, c.st())
 		}
 	}
 }

@@ -142,57 +142,31 @@ func (f *FS) splitSlices(dir string) []int {
 // each slice's directory replica holds exactly its partitions' files
 // (plus the replicated subdirectories). mutator is the inserting
 // client's node, exempted from revocation callbacks like any mutation.
+//
+// The step advances dir one doubling, level L → L+1: entries whose name
+// hash sets bit L move from partition q to partition q+2^L — from slice
+// (h+q) mod N to slice (h+q+2^L) mod N. See the package comment at the
+// top of this file for the atomicity discipline. The re-partition
+// (splitApply) runs at a sync point, so under domains every domain
+// observes the level bump, the moved entries and the dropped leases at
+// the same virtual instant; the triggering server then pays the
+// migration traffic from its own domain. The split maps and the
+// migrating flag flip only at sync points, so every domain reads them
+// race-free between windows. Sleeping SyncDelay parks the trigger until
+// the instant after the state change — the timestamped form of the "no
+// virtual time passes in phase 1" rule, and no sleep at all on the
+// single kernel, where the sync function ran inline.
 func (f *FS) maybeSplit(sp *sim.Proc, dir string, children int, mutator *nodeState) {
 	if children <= f.cfg.SplitThreshold || !f.splitActive() {
 		return
 	}
-	ds, ok := f.splitDirs[dir]
-	if ok && (ds.migrating || 1<<ds.level >= len(f.shards)) {
+	if ds, ok := f.splitDirs[dir]; ok && (ds.migrating || 1<<ds.level >= len(f.shards)) {
 		return
 	}
-	if f.domained() {
-		f.splitDomained(sp, dir, mutator)
-		return
-	}
-	if !ok {
-		ds = &dirSplit{}
-		f.splitDirs[dir] = ds
-	}
-	f.split(sp, dir, ds, mutator)
-}
-
-// splitBatch is the migration traffic of one source→destination pair.
-type splitBatch struct {
-	src, dst int
-	moved    int
-}
-
-// split advances dir one doubling step: level L → L+1. Entries whose
-// name hash sets bit L move from partition q to partition q+2^L — from
-// slice (h+q) mod N to slice (h+q+2^L) mod N. See the package comment
-// at the top of this file for the atomicity discipline.
-func (f *FS) split(sp *sim.Proc, dir string, ds *dirSplit, mutator *nodeState) {
-	ds.migrating = true
-	batches, victims := f.splitApply(dir, ds, mutator, sp.Now())
-	f.splitPay(sp, batches, victims)
-	ds.migrating = false
-}
-
-// splitDomained is split under kernel domains: the atomic re-partition
-// (splitApply) runs at a sync point one lookahead ahead — every domain
-// observes the level bump, the moved entries and the dropped leases at
-// the same virtual instant — and the triggering server then pays the
-// migration traffic from its own domain. The split maps and the
-// migrating flag flip only at sync points, so every domain reads them
-// race-free between windows. A sync registered now fires at
-// now+lookahead exactly, so sleeping SyncDelay parks the trigger until
-// the instant after the state change — the timestamped equivalent of
-// the legacy "no virtual time passes in phase 1" rule.
-func (f *FS) splitDomained(sp *sim.Proc, dir string, mutator *nodeState) {
 	var batches []splitBatch
 	var victims []*nodeState
 	var ds *dirSplit
-	f.rt.Group().AtSync(sp, sp.Now(), func() {
+	f.rt.AtSync(sp, func() {
 		d, ok := f.splitDirs[dir]
 		if ok && (d.migrating || 1<<d.level >= len(f.shards)) {
 			return // a concurrent trigger won the race to this instant
@@ -205,12 +179,20 @@ func (f *FS) splitDomained(sp *sim.Proc, dir string, mutator *nodeState) {
 		ds.migrating = true
 		batches, victims = f.splitApply(dir, ds, mutator, f.k.Now())
 	})
-	sp.Sleep(f.rt.Group().SyncDelay())
+	if d := f.rt.SyncDelay(); d > 0 {
+		sp.Sleep(d)
+	}
 	if ds == nil {
 		return // lost the race; the winner pays the traffic
 	}
 	f.splitPay(sp, batches, victims)
-	f.rt.Group().AtSync(sp, sp.Now(), func() { ds.migrating = false })
+	f.rt.AtSync(sp, func() { ds.migrating = false })
+}
+
+// splitBatch is the migration traffic of one source→destination pair.
+type splitBatch struct {
+	src, dst int
+	moved    int
 }
 
 // splitApply is phase 1 — atomic at now: move the entries, journal both
@@ -283,16 +265,16 @@ func (f *FS) splitApply(dir string, ds *dirSplit, mutator *nodeState, now time.D
 // delivering the batch (unpack, insert, journal log) to the
 // destination; per revoked lease one callback round trip, fanned out
 // in parallel like revokePath. Down destinations got the state
-// logically and recovery replay prices their catch-up. Under domains a
-// source slice living in another domain packs its batch there (one
-// forwarded hop); the single-kernel path is unchanged.
+// logically and recovery replay prices their catch-up. A source slice
+// living in another domain packs its batch there (one forwarded hop);
+// on the single kernel every server shares the trigger's kernel.
 func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) {
 	for _, b := range batches {
 		cost := time.Duration(b.moved) * f.cfg.SplitMovePerEntry
 		logBytes := int64(b.moved) * f.cfg.MetaLogBytes
 		srcSrv := f.srvFor(b.src)
 		dstSrv := f.srvFor(b.dst)
-		if f.domained() && f.kFor(srcSrv.index) != sp.Kernel() {
+		if f.kFor(srcSrv.index) != sp.Kernel() {
 			ss := srcSrv
 			f.hop(sp, ss, func(q *sim.Proc) {
 				f.chargeOp(q, ss, cost, -1, scanInfo())
@@ -309,13 +291,7 @@ func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) 
 			dstCost = time.Duration(float64(cost) * mf)
 		}
 		switch {
-		case dstSrv.up && dstSrv != srcSrv:
-			dst := dstSrv
-			f.hop(sp, dst, func(q *sim.Proc) {
-				f.charge(q, dst, dstCost, -1)
-				dst.be.log(q, logBytes)
-			})
-		case dstSrv.up && f.domained() && f.kFor(dstSrv.index) != sp.Kernel():
+		case dstSrv.up && (dstSrv != srcSrv || f.kFor(dstSrv.index) != sp.Kernel()):
 			// Co-located slices whose server lives in another domain
 			// still pay a forwarded hop for the ingest.
 			dst := dstSrv

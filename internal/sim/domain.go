@@ -22,13 +22,14 @@
 // whether the group runs on one worker or one per domain. The
 // determinism matrix test in internal/core pins exactly that.
 //
-// Windows are adaptive by default (DomainGroup.Adaptive): when a single
-// domain holds the global minimum event time, its window extends to the
-// second-minimum next-event time plus the lookahead — the earliest
-// instant anything can reach it — instead of the worst-case fixed edge,
-// with dynamic horizon clamps guarding against arrivals the extended
-// window itself provokes (sends, sync registrations). The schedule is
-// byte-identical to fixed windows; only the window count drops.
+// Windows are adaptive: when a single domain holds the global minimum
+// event time, its window extends to the second-minimum next-event time
+// plus the lookahead — the earliest instant anything can reach it —
+// instead of the worst-case fixed edge, with dynamic horizon clamps
+// guarding against arrivals the extended window itself provokes (sends,
+// sync registrations). The schedule is byte-identical to classic fixed
+// windows, which the package tests keep as the reference schedule; only
+// the window count drops.
 //
 // Rare global transitions that cannot be expressed as priced messages
 // (server crashes, failover takeovers, split re-partitioning) register
@@ -108,15 +109,11 @@ type DomainGroup struct {
 	// value >= 1; tests pin 1 vs N to prove it.
 	Workers int
 
-	// Adaptive widens one domain's window past the classic fixed edge
-	// when it is the unique holder of the minimum pending event time:
-	// that domain may run to (second-minimum next-event time + lookahead)
-	// instead of (minimum + lookahead), because no other domain can
-	// produce an arrival before that. Two dynamic clamps keep the
-	// extension safe against work the window itself creates — see run().
-	// Defaults on; results are byte-identical either way (tests pin it),
-	// adaptive just reaches the same schedule in fewer, fuller windows.
-	Adaptive bool
+	// fixed turns off the adaptive window rule (see run()), so every
+	// window ends at the classic minimum + lookahead edge. Only tests
+	// set it: the fixed schedule is the reference the adaptive one must
+	// reproduce byte for byte, in fewer windows.
+	fixed bool
 
 	// CheckCausality enables the invariant checker: every cross-domain
 	// send must carry at least the lookahead, and no domain may be past
@@ -163,7 +160,7 @@ func AddDomains(k *Kernel, n int, lookahead Time) *DomainGroup {
 	if n < 1 {
 		panic("sim: AddDomains needs at least one extra domain")
 	}
-	g := &DomainGroup{lookahead: lookahead, CheckCausality: true, Adaptive: true}
+	g := &DomainGroup{lookahead: lookahead, CheckCausality: true}
 	attach := func(kn *Kernel) {
 		d := &Domain{id: len(g.domains), k: kn, g: g}
 		kn.dom = d
@@ -231,8 +228,8 @@ func Post(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
 // recipient in a later window) that arrives no earlier than t_s + 2L, so
 // the sender must not execute past t_s + 2L - 1 within its current
 // window. For classic fixed windows the bound is a no-op (the window end
-// m + L never exceeds t_s + 2L - 1); it only bites when Adaptive has
-// extended this domain's window, and is exactly what makes the extension
+// m + L never exceeds t_s + 2L - 1); it only bites when the adaptive
+// rule has extended this domain's window, and is exactly what makes the extension
 // safe against arrivals the extension itself provokes.
 func (src *Domain) send(dst *Domain, m message) {
 	dst.mu.Lock()
@@ -248,7 +245,7 @@ func (src *Domain) send(dst *Domain, m message) {
 // after the reply delay. Timing is identical to sleeping the two delays
 // around an inline call; execution placement is what changes. Within a
 // single domain — or on a plain kernel — it degrades to exactly that
-// inline form, which is the legacy path the Domains<=1 contract pins.
+// inline form, which is the single-kernel path the Domains<=1 contract pins.
 func Call(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
 	if dst == p.k || p.k.dom == nil || dst.dom == nil {
 		p.Sleep(delay)
@@ -283,7 +280,7 @@ func (g *DomainGroup) AtSync(p *Proc, at Time, fn func()) {
 		at = min
 	}
 	// The registering domain must not execute past the rendezvous within
-	// its current window: under Adaptive its window may extend beyond
+	// its current window: an adaptive window may extend beyond
 	// at - 1, and fireSyncs would then find its clock past the sync
 	// point. Every *other* domain is provably short of at already (its
 	// window ends at m + L <= now + L <= at for classic windows, and an
@@ -437,8 +434,8 @@ func (g *DomainGroup) RunFor(t Time) error { return g.run(t) }
 // horizon), execute the window on the worker pool, fire due sync
 // points, repeat.
 //
-// With Adaptive on, one domain per window may receive a wider end than
-// the classic m + lookahead: if exactly one domain holds the global
+// Under the adaptive rule one domain per window may receive a wider end
+// than the classic m + lookahead: if exactly one domain holds the global
 // minimum pending event time m, every other domain's earliest possible
 // send happens at M2 (the second-minimum next-event time) or later, so
 // nothing can arrive at the minimum domain before M2 + lookahead — it
@@ -494,7 +491,7 @@ func (g *DomainGroup) run(horizon Time) error {
 		for i := range ends {
 			ends[i] = end
 		}
-		if g.Adaptive && haveEvents {
+		if !g.fixed && haveEvents {
 			argmin, mins := -1, 0
 			m2, haveM2 := Time(0), false
 			for i, d := range g.domains {

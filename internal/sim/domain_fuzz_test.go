@@ -8,10 +8,11 @@ import (
 )
 
 // fuzzTrace runs one fuzz scenario — domain count, lookahead and an op
-// script all decoded from data — with the given worker count, and
-// returns the per-domain execution traces. It fails the test on
-// deadlock or on a non-monotone timestamp within a domain.
-func fuzzTrace(t *testing.T, data []byte, workers int) map[int][]string {
+// script all decoded from data — with the given worker count, on
+// classic fixed windows when fixed is set, and returns the per-domain
+// execution traces. It fails the test on deadlock or on a non-monotone
+// timestamp within a domain.
+func fuzzTrace(t *testing.T, data []byte, workers int, fixed bool) map[int][]string {
 	t.Helper()
 	if len(data) < 4 {
 		return nil
@@ -26,6 +27,7 @@ func fuzzTrace(t *testing.T, data []byte, workers int) map[int][]string {
 	k := New(int64(data[2]) + 1)
 	g := AddDomains(k, nd-1, lookahead)
 	g.Workers = workers
+	g.fixed = fixed
 
 	traces := make(map[int][]string)
 	lastAt := make(map[int]Time)
@@ -86,21 +88,31 @@ func fuzzTrace(t *testing.T, data []byte, workers int) map[int][]string {
 // scheduler must terminate (no deadlock), never execute events out of
 // timestamp order within a domain (checked in record, plus the built-in
 // causality panics), and produce per-domain traces that are identical
-// on one worker thread and on a full pool.
+// on one worker thread and on a full pool, and identical between
+// adaptive windows and the classic fixed-window reference schedule.
 func FuzzLookahead(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3})
 	f.Add([]byte{3, 50, 200, 100, 50, 25, 12, 6, 3, 1})
 	f.Add([]byte{7, 199, 255, 254, 253, 0, 1, 2, 127, 128, 64, 32})
 	f.Add([]byte{1, 10, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a := fuzzTrace(t, data, 1)
-		b := fuzzTrace(t, data, 4)
-		if len(a) != len(b) {
-			t.Fatalf("trace domain counts differ: %d vs %d", len(a), len(b))
-		}
-		for d, as := range a {
-			if fmt.Sprint(as) != fmt.Sprint(b[d]) {
-				t.Errorf("domain %d trace differs between 1 and 4 workers:\n%v\n%v", d, as, b[d])
+		a := fuzzTrace(t, data, 1, false)
+		for _, c := range []struct {
+			name    string
+			workers int
+			fixed   bool
+		}{
+			{"4 workers", 4, false},
+			{"fixed windows", 1, true},
+		} {
+			b := fuzzTrace(t, data, c.workers, c.fixed)
+			if len(a) != len(b) {
+				t.Fatalf("%s: trace domain counts differ: %d vs %d", c.name, len(a), len(b))
+			}
+			for d, as := range a {
+				if fmt.Sprint(as) != fmt.Sprint(b[d]) {
+					t.Errorf("domain %d trace differs with %s:\n%v\n%v", d, c.name, as, b[d])
+				}
 			}
 		}
 	})

@@ -194,3 +194,41 @@ func TestDomainRunFor(t *testing.T) {
 		t.Errorf("final ticks = %d, want 10", ticks)
 	}
 }
+
+// TestAdaptiveWindowsSparse checks what the adaptive window rule buys on
+// a sparse two-domain topology: a client sleeping well inside the
+// lookahead against a daemon ticking once per millisecond. The client
+// is the lone minimum almost every window, so its window stretches to
+// the daemon's next tick instead of ending one lookahead out. The
+// schedule must not change — only the window count.
+func TestAdaptiveWindowsSparse(t *testing.T) {
+	run := func(fixed bool) (windows int64, trace []Time) {
+		k := New(11)
+		g := AddDomains(k, 1, 25*time.Microsecond)
+		g.fixed = fixed
+		g.Kernel(1).SpawnDaemon("tick", func(p *Proc) {
+			for {
+				p.Sleep(time.Millisecond)
+			}
+		})
+		k.Spawn("client", func(p *Proc) {
+			for i := 0; i < 1000; i++ {
+				p.Sleep(25 * time.Microsecond)
+				trace = append(trace, p.Now())
+			}
+		})
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return g.Windows(), trace
+	}
+	adaptive, at := run(false)
+	fixed, ft := run(true)
+	if fmt.Sprint(at) != fmt.Sprint(ft) {
+		t.Fatal("adaptive and fixed windows produced different schedules")
+	}
+	if adaptive*10 > fixed {
+		t.Errorf("adaptive windows = %d, fixed = %d: want at least 10x fewer", adaptive, fixed)
+	}
+	t.Logf("windows: adaptive %d, fixed %d", adaptive, fixed)
+}

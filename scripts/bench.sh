@@ -41,9 +41,9 @@ backend='BenchmarkE28BackendProfile$|BenchmarkE29CompactionTimeline$|BenchmarkE3
 # reduced -period inside their benchmarks; their row metrics carry
 # spaces and slashes, which the unit-label column scan below tolerates.
 scale='BenchmarkE31AggregateDay$|BenchmarkE32ForegroundTail$|BenchmarkE33CapacityPressure$'
-# The service-runtime experiments (E34-E36); E35 runs at a reduced
+# The service-runtime experiments (E34-E35); E35 runs at a reduced
 # -period inside its benchmark like the E31-E33 group.
-runtime='BenchmarkE34DomainedServers$|BenchmarkE35FilerAtScale$|BenchmarkE36AdaptiveLookahead$'
+runtime='BenchmarkE34DomainedServers$|BenchmarkE35FilerAtScale$'
 pattern="$substrate|$failover|$coherence|$split|$backend|$scale|$runtime"
 while [ $# -gt 0 ]; do
 	case "$1" in
