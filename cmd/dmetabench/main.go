@@ -79,6 +79,10 @@ func main() {
 		PPNStep:     *ppnStep,
 		Label:       *label,
 	}
+	if err := checkFlags(params, *nodes, *ppn, *cores, *shards); err != nil {
+		fmt.Fprintln(os.Stderr, "dmetabench:", err)
+		os.Exit(2)
+	}
 	if *pathList != "" {
 		params.PathList = strings.Split(*pathList, ",")
 	}
@@ -127,6 +131,33 @@ func main() {
 		}
 		fmt.Printf("results written to %s\n", *out)
 	}
+}
+
+// checkFlags rejects numeric flag values that have no meaning: the
+// cluster shape, the execution plan's steps and the shard count are
+// counts of at least one, a problem size or time limit cannot be
+// negative, and sampling needs a positive interval.
+func checkFlags(params core.Params, nodes, ppn, cores, shards int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-nodes", nodes}, {"-ppn", ppn}, {"-cores", cores},
+		{"-nodestep", params.NodeStep}, {"-ppnstep", params.PPNStep}, {"-shards", shards},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("%s must be at least 1, got %d", f.name, f.v)
+		}
+	}
+	switch {
+	case params.ProblemSize < 0:
+		return fmt.Errorf("-problemsize must not be negative, got %d", params.ProblemSize)
+	case params.TimeLimit < 0:
+		return fmt.Errorf("-timelimit must not be negative, got %v", params.TimeLimit)
+	case params.Interval <= 0:
+		return fmt.Errorf("-interval must be positive, got %v", params.Interval)
+	}
+	return nil
 }
 
 func runSim(fsKind string, nodes, ppn, cores, shards int, backendName string, latency time.Duration, seed int64,

@@ -12,7 +12,7 @@ import (
 // replaced boxed one interface{} per push and per pop).
 func TestScheduleAllocFree(t *testing.T) {
 	k := New(1)
-	p := &Proc{k: k, name: "probe", resume: make(chan struct{})}
+	p := &Proc{k: k, name: "probe"}
 	// Warm the heap storage well past the test's working set.
 	for i := 0; i < 64; i++ {
 		k.schedule(p, Time(i))
@@ -118,5 +118,55 @@ func TestSleepFastPathSemantics(t *testing.T) {
 	}
 	if reached != 10*time.Millisecond {
 		t.Fatalf("proc finished at %v, want 10ms", reached)
+	}
+}
+
+// TestSpawnAllocs pins the steady-state cost of a Spawn + Join: the Proc
+// itself, the Join waiter slice and the Join blocking reason. The carrier
+// running the child comes from the kernel's free list.
+func TestSpawnAllocs(t *testing.T) {
+	k := New(1)
+	var avg float64
+	k.Spawn("parent", func(p *Proc) {
+		child := func(q *Proc) {}
+		avg = testing.AllocsPerRun(1000, func() {
+			p.Join(p.Spawn("child", child))
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg > 3 {
+		t.Fatalf("Spawn + Join allocated %.2f objects/op, want <= 3", avg)
+	}
+}
+
+// noop is a message body that captures nothing, so posting it allocates
+// no closure.
+func noop(q *Proc) {}
+
+// TestPostDeliveryAllocs pins that delivering and running a cross-domain
+// Post allocates nothing in steady state: the message runs on the Proc
+// embedded in a pooled carrier.
+func TestPostDeliveryAllocs(t *testing.T) {
+	const lookahead = 10 * time.Microsecond
+	k := New(1)
+	g := AddDomains(k, 1, lookahead)
+	g.Workers = 1
+	var avg float64
+	k.Spawn("sender", func(p *Proc) {
+		avg = testing.AllocsPerRun(1000, func() {
+			Post(p, g.Kernel(1), lookahead, "msg", noop)
+			p.Sleep(2 * lookahead) // spans the windows that deliver and run it
+		})
+	})
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Fatalf("a delivered Post allocated %.2f objects/op, want 0", avg)
+	}
+	if d := g.Kernel(1).Dispatched(); d != 1001 {
+		t.Fatalf("domain 1 ran %d messages, want 1001", d)
 	}
 }

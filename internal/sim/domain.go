@@ -72,7 +72,7 @@ type Domain struct {
 // wake is set: fn runs as a fresh (pooled) process at the arrival time,
 // wake resumes an existing blocked process (the reply leg of Call, which
 // needs no body of its own — carrying the target directly saves the
-// closure and the trampoline dispatch).
+// closure and the extra process).
 type message struct {
 	at   Time
 	src  int   // sender domain id
@@ -259,7 +259,7 @@ func Call(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
 		fn(q)
 		// Reply leg: a wake message resuming p directly at arrival time.
 		// Carrying the target proc instead of a closure saves the closure
-		// allocation and the trampoline dispatch on every cross-domain RPC.
+		// allocation and the extra process on every cross-domain RPC.
 		k := q.k
 		m := message{at: k.now + delay, src: k.dom.id, seq: k.dom.sendSeq, name: "xcall-reply", wake: p}
 		k.dom.sendSeq++
@@ -453,11 +453,13 @@ func (g *DomainGroup) run(horizon Time) error {
 		g.deliver()
 		live, daemons := g.totals()
 		if live <= daemons {
+			g.release()
 			return nil
 		}
 		m, haveEvents := g.minEvent()
 		s, haveSync := g.peekSync()
 		if !haveEvents && !haveSync {
+			g.release()
 			return &DeadlockError{Blocked: g.blockedProcNames()}
 		}
 		if haveEvents && m > horizon {
@@ -553,17 +555,27 @@ func (g *DomainGroup) runWindows(ends []Time) {
 		}
 		return
 	}
+	// workers goes in by value: captured, it would be heap-allocated on
+	// every window, the single-worker path included.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(w, stride int) {
 			defer wg.Done()
-			for i := w; i < len(g.domains); i += workers {
+			for i := w; i < len(g.domains); i += stride {
 				g.domains[i].k.runWindow(ends[i])
 			}
-		}(w)
+		}(w, workers)
 	}
 	wg.Wait()
+}
+
+// release hands every domain's idle carriers to the process-wide idle
+// list when the group's run terminates.
+func (g *DomainGroup) release() {
+	for _, d := range g.domains {
+		d.k.release()
+	}
 }
 
 // blockedProcNames aggregates deadlock diagnostics across domains.
@@ -590,12 +602,8 @@ func (g *DomainGroup) blockedProcNames() []string {
 // at group level.
 func (k *Kernel) runWindow(end Time) {
 	k.horizon = end - 1
-	for {
-		if k.queue.len() == 0 || k.queue.e[0].at > k.horizon {
-			return
-		}
-		k.dispatchNext()
-		<-k.parked
+	for k.queue.len() > 0 && k.queue.e[0].at <= k.horizon {
+		k.dispatch()
 	}
 }
 

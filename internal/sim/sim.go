@@ -1,10 +1,11 @@
 // Package sim implements a deterministic, cooperative discrete-event
 // simulation kernel.
 //
-// A Kernel owns a virtual clock and a set of processes. Each process is a
-// goroutine, but exactly one process executes at a time: a process runs
-// until it blocks (Sleep, semaphore wait, barrier, queue receive ...) and
-// the kernel then resumes the process with the earliest pending event.
+// A Kernel owns a virtual clock and a set of processes. Each process runs
+// on a coroutine, and exactly one process executes at a time: a process
+// runs until it blocks (Sleep, semaphore wait, barrier, queue receive ...)
+// and yields back to the kernel loop, which resumes the process with the
+// earliest pending event.
 // Ties are broken by event sequence number, so runs are fully
 // deterministic: the same program produces the same event order and the
 // same virtual timings on every run.
@@ -18,18 +19,21 @@
 // given seed.
 //
 // Scheduling is built for throughput: the event queue is a concrete-typed
-// binary heap (no interface boxing, storage reused across events), a
-// parking process hands control directly to the next runnable process
-// without a round trip through the kernel goroutine, and a process whose
-// wake-up would be the next event anyway (a Sleep with no earlier pending
-// event) simply advances the clock and keeps running — no heap traffic
-// and no channel handshake at all.
+// binary heap (no interface boxing, storage reused across events); a
+// process runs on a pooled carrier coroutine (iter.Pull), so resuming and
+// parking it are direct coroutine switches that never go through the Go
+// scheduler, and carriers are reused across processes, kernels and runs;
+// and a process whose wake-up would be the next event anyway (a Sleep with
+// no earlier pending event) simply advances the clock and keeps running —
+// no heap traffic and no switch at all.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -121,13 +125,11 @@ type Kernel struct {
 	now     Time
 	seq     int64
 	queue   eventHeap
-	parked  chan *Proc // handshake: control returns to Run/RunFor
-	live    int        // procs started and not yet finished
-	daemons int        // live daemon procs (ignored for termination)
-	blocked int        // procs waiting on a condition (not in queue)
+	live    int // procs started and not yet finished
+	daemons int // live daemon procs (ignored for termination)
+	blocked int // procs waiting on a condition (not in queue)
 	rng     *rand.Rand
 	procSeq int
-	halted  bool
 	horizon Time    // events beyond this virtual time stay queued
 	procs   []*Proc // all spawned procs, for deadlock diagnostics
 	// dispatched counts events executed by this kernel — in a domain
@@ -138,17 +140,15 @@ type Kernel struct {
 	// (domain.go); scheduling then runs in lookahead windows and
 	// termination is decided at group level.
 	dom *Domain
-	// free holds idle pooled trampoline procs for cross-domain message
-	// delivery (spawnMsgAt): one goroutine + Proc + channel is reused
-	// across messages instead of being created per message. Only ever
-	// touched while holding the kernel's single execution token.
-	free []*Proc
+	// free holds this kernel's idle carriers. Only the goroutine running
+	// the kernel touches it, so it needs no lock; a terminating run hands
+	// it to the process-wide idle list.
+	free []*carrier
 }
 
 // New returns a kernel whose random source is seeded with seed.
 func New(seed int64) *Kernel {
 	return &Kernel{
-		parked:  make(chan *Proc),
 		rng:     rand.New(rand.NewSource(seed)),
 		horizon: forever,
 	}
@@ -198,21 +198,10 @@ func (k *Kernel) runsBefore(at Time) bool {
 	return h.at < at || (h.at == at && h.seq < msgSeqBase)
 }
 
-// dispatchNext pops the earliest runnable event and hands control to its
-// process. It reports false when nothing may run: the queue is empty,
-// only daemons remain live, or the next event lies beyond the run
-// horizon — in those cases the caller must return control to the kernel
-// goroutine instead.
-func (k *Kernel) dispatchNext() bool {
-	if k.queue.len() == 0 || k.queue.e[0].at > k.horizon {
-		return false
-	}
-	if k.live <= k.daemons && k.dom == nil {
-		// Only daemons left: a plain kernel terminates, but a domain
-		// kernel keeps its daemons on the window grid — the group
-		// decides termination from the global live count.
-		return false
-	}
+// dispatch pops the earliest event and resumes its process until the
+// process parks or finishes. Only the kernel loops (run, runWindow) call
+// it: a process never resumes another, because coroutines must not nest.
+func (k *Kernel) dispatch() {
 	ev := k.queue.pop()
 	if ev.p.done {
 		panic(fmt.Sprintf("sim: stale event at %v (seq %d) for finished proc %q", ev.at, ev.seq, ev.p.name))
@@ -221,8 +210,7 @@ func (k *Kernel) dispatchNext() bool {
 		k.now = ev.at
 	}
 	k.dispatched++
-	ev.p.resume <- struct{}{}
-	return true
+	ev.p.c.next()
 }
 
 // Dispatched returns the number of events this kernel has executed. In a
@@ -232,17 +220,14 @@ func (k *Kernel) Dispatched() int64 { return k.dispatched }
 
 // Proc is a simulated process. Procs are created with Kernel.Spawn or
 // Proc.Spawn and must only call kernel methods while running (i.e. from
-// their own goroutine, between resumptions).
+// their own body, between resumptions).
 type Proc struct {
 	k      *Kernel
+	c      *carrier // the coroutine running this proc's body
 	id     int
 	name   string
-	resume chan struct{}
 	done   bool
 	daemon bool
-	// fn is the pending body of a pooled trampoline proc (spawnMsgAt);
-	// always nil for ordinary procs.
-	fn func(p *Proc)
 	// slot is this proc's index in k.procs; finished procs are
 	// swap-removed so the diagnostics slice never pins dead procs (the
 	// domained substrate spawns one short-lived proc per cross-domain
@@ -300,96 +285,131 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 }
 
 func (k *Kernel) spawnProc(name string, fn func(p *Proc), daemon bool) *Proc {
+	c := k.carrier()
+	p := &Proc{k: k, name: name, daemon: daemon}
+	k.start(c, p, fn)
+	return p
+}
+
+// spawnMsgAt schedules fn like spawnAt, under the caller-provided event
+// sequence number, on the Proc embedded in a pooled carrier: cross-domain
+// delivery runs one short-lived proc per message, and reusing the carrier's
+// Proc keeps delivery off the allocator. The *Proc never escapes to
+// callers (deliver() does not return it), so the reuse can never confuse
+// a Join — which is why plain Spawn allocates a fresh Proc.
+func (k *Kernel) spawnMsgAt(name string, at Time, seq int64, fn func(p *Proc)) {
+	c := k.carrier()
+	c.msg = Proc{k: k, name: name}
+	k.start(c, &c.msg, fn)
+	k.scheduleSeq(&c.msg, at, seq)
+}
+
+// start registers p as live and binds it to carrier c, which runs fn on
+// p's first dispatch.
+func (k *Kernel) start(c *carrier, p *Proc, fn func(p *Proc)) {
 	k.procSeq++
-	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{}), daemon: daemon}
+	p.id = k.procSeq
+	p.c = c
+	c.p, c.fn = p, fn
 	k.live++
-	if daemon {
+	if p.daemon {
 		k.daemons++
 	}
 	p.slot = len(k.procs)
 	k.procs = append(k.procs, p)
-	go func() {
-		<-p.resume // wait for first scheduling
-		fn(p)
-		p.done = true
-		k.removeProc(p)
-		k.live--
-		if p.daemon {
-			k.daemons--
-		}
-		for _, w := range p.waiters {
-			w.blockedOn = ""
-			k.blocked--
-			k.schedule(w, k.now)
-		}
-		p.waiters = nil
-		// Hand control to the next runnable process; wake the kernel
-		// goroutine only when nothing may run.
-		if !k.dispatchNext() {
-			k.parked <- p
-		}
-	}()
-	return p
 }
 
-// spawnMsgAt schedules fn like spawnAt but on a pooled trampoline proc,
-// under the caller-provided event sequence number: cross-domain delivery
-// creates one short-lived proc per message, and recycling the goroutine,
-// Proc and resume channel keeps that off the allocator and the GC scan
-// set. Pooled procs are invisible outside the kernel — deliver() never
-// hands the *Proc to callers, so the reuse can never confuse a Join
-// (which is the reason plain Spawn does not pool).
-func (k *Kernel) spawnMsgAt(name string, at Time, seq int64, fn func(p *Proc)) {
+// carrier is a pooled coroutine that runs proc bodies one after another.
+// The kernel loop resumes it with next; the running proc gives control
+// back with yield (park). Between bodies a carrier sits on its kernel's
+// free list, or on the process-wide idle list once that kernel's run
+// terminated. A carrier whose body panicked is dead (iter.Pull re-raises
+// the panic in the next caller) and never returns to a pool.
+type carrier struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	p     *Proc         // proc currently bound to the carrier
+	fn    func(p *Proc) // p's body
+	msg   Proc          // reusable proc for cross-domain message delivery
+}
+
+// idle holds carriers released by terminated runs, shared by all kernels.
+// It is not a sync.Pool: the GC may drop pooled items, and a dropped
+// carrier's goroutine would stay parked forever.
+var idle struct {
+	sync.Mutex
+	c []*carrier
+}
+
+// carrier takes an idle carrier from the kernel's free list, else from the
+// process-wide idle list, else starts a new one.
+func (k *Kernel) carrier() *carrier {
 	if n := len(k.free); n > 0 {
-		p := k.free[n-1]
+		c := k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		k.procSeq++
-		p.id = k.procSeq
-		p.name = name
-		p.fn = fn
-		p.done = false
-		p.slot = len(k.procs)
-		k.procs = append(k.procs, p)
-		k.live++
-		k.scheduleSeq(p, at, seq)
+		return c
+	}
+	idle.Lock()
+	if n := len(idle.c); n > 0 {
+		c := idle.c[n-1]
+		idle.c[n-1] = nil
+		idle.c = idle.c[:n-1]
+		idle.Unlock()
+		return c
+	}
+	idle.Unlock()
+	c := new(carrier)
+	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.p.k.execute(c.p, c.fn)
+			c.p, c.fn = nil, nil
+			yield(struct{}{})
+		}
+	})
+	return c
+}
+
+// execute runs p's body to completion, then does the exit bookkeeping and
+// returns p's carrier to the kernel's free list.
+func (k *Kernel) execute(p *Proc, fn func(p *Proc)) {
+	fn(p)
+	p.done = true
+	k.removeProc(p)
+	k.live--
+	if p.daemon {
+		k.daemons--
+	}
+	for _, w := range p.waiters {
+		w.blockedOn = ""
+		k.blocked--
+		k.schedule(w, k.now)
+	}
+	p.waiters = nil
+	k.free = append(k.free, p.c)
+}
+
+// release hands the kernel's idle carriers to the process-wide idle list,
+// dropping their message procs so the pool pins nothing of this run.
+// Runs call it when they terminate, not when they stop at a horizon.
+func (k *Kernel) release() {
+	if len(k.free) == 0 {
 		return
 	}
-	k.procSeq++
-	p := &Proc{k: k, id: k.procSeq, name: name, resume: make(chan struct{}), fn: fn}
-	k.live++
-	p.slot = len(k.procs)
-	k.procs = append(k.procs, p)
-	go func() {
-		for {
-			<-p.resume // wait for (re)scheduling
-			p.fn(p)
-			p.fn = nil
-			p.done = true
-			k.removeProc(p)
-			k.live--
-			for _, w := range p.waiters {
-				w.blockedOn = ""
-				k.blocked--
-				k.schedule(w, k.now)
-			}
-			p.waiters = nil
-			p.Ctx = nil
-			k.free = append(k.free, p)
-			// Hand control to the next runnable process; wake the kernel
-			// goroutine only when nothing may run.
-			if !k.dispatchNext() {
-				k.parked <- p
-			}
-		}
-	}()
-	k.scheduleSeq(p, at, seq)
+	for _, c := range k.free {
+		c.msg = Proc{}
+	}
+	idle.Lock()
+	idle.c = append(idle.c, k.free...)
+	idle.Unlock()
+	clear(k.free)
+	k.free = k.free[:0]
 }
 
 // removeProc swap-removes a finished proc from the diagnostics slice.
-// It runs on the exiting proc's goroutine, which holds the kernel's
-// single execution token, so no other proc or the kernel goroutine can
-// touch k.procs concurrently.
+// It runs on the exiting proc's carrier while the kernel loop waits in
+// next, so nothing else touches k.procs concurrently.
 func (k *Kernel) removeProc(p *Proc) {
 	last := len(k.procs) - 1
 	if p.slot < 0 || p.slot > last || k.procs[p.slot] != p {
@@ -421,14 +441,11 @@ func (k *Kernel) AfterFunc(name string, d Time, fn func(p *Proc)) *Proc {
 	})
 }
 
-// park transfers control to the next runnable process (or, when nothing
-// may run, back to the kernel goroutine) and waits to be resumed.
+// park yields control back to the kernel loop and returns when the loop
+// resumes the process.
 func (p *Proc) park(reason string) {
 	p.blockedOn = reason
-	if !p.k.dispatchNext() {
-		p.k.parked <- p
-	}
-	<-p.resume
+	p.c.yield(struct{}{})
 	p.blockedOn = ""
 }
 
@@ -436,9 +453,6 @@ func (p *Proc) park(reason string) {
 // sleep zero time (yield).
 func (p *Proc) Sleep(d Time) {
 	k := p.k
-	if k.halted {
-		panic(ErrHalted)
-	}
 	if d < 0 {
 		d = 0
 	}
@@ -450,7 +464,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	// Fast path: if no pending event precedes this wake-up, the scheduler
 	// would hand control straight back to this process — advance the
-	// clock in place and skip the heap and channel round trip entirely.
+	// clock in place and skip the heap and the coroutine switch entirely.
 	// Ties go to a queued local event (its sequence number is older), but
 	// a delivered cross-domain message carries an intrinsic sequence at or
 	// above msgSeqBase and loses the tie to a local wake-up — exactly as
@@ -490,10 +504,6 @@ func (p *Proc) Join(q *Proc) {
 	q.waiters = append(q.waiters, p)
 	p.block("join:" + q.name)
 }
-
-// ErrHalted is the panic value raised in processes that call Sleep after
-// the kernel stopped.
-var ErrHalted = fmt.Errorf("sim: kernel halted")
 
 // DeadlockError reports the simulation stopping with live, blocked
 // processes and no pending events.
@@ -540,25 +550,24 @@ func (k *Kernel) RunFor(t Time) error {
 	return k.run(t)
 }
 
-// run drives the simulation with the given horizon. Control stays inside
-// the web of process goroutines (direct handoff in park) and only comes
-// back here — via the parked channel — when no process may run; the loop
-// then decides between termination, horizon stop and deadlock. The
-// switch cases mirror dispatchNext's gating conditions one to one, which
-// is what lets it delegate the actual handoff.
+// run drives the simulation with the given horizon: it resumes the
+// process of the earliest event until nothing may run, then decides
+// between termination, horizon stop and deadlock. A run that terminates
+// releases the kernel's idle carriers to the process-wide idle list.
 func (k *Kernel) run(horizon Time) error {
 	k.horizon = horizon
 	for {
 		switch {
 		case k.live <= k.daemons:
+			k.release()
 			return nil // only daemons (or nothing) left
 		case k.queue.len() == 0:
+			k.release()
 			return &DeadlockError{Blocked: k.blockedProcNames()}
 		case k.queue.e[0].at > horizon:
 			k.now = horizon
 			return nil
 		}
-		k.dispatchNext()
-		<-k.parked
+		k.dispatch()
 	}
 }

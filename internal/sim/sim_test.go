@@ -356,3 +356,40 @@ func BenchmarkKernelEvents(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N), "events")
 }
+
+// BenchmarkKernelSwitch measures a real coroutine switch per event: two
+// procs sleep in lockstep, so every wake-up goes through the heap and the
+// kernel loop (BenchmarkKernelEvents only exercises the Sleep fast path,
+// where no switch happens).
+func BenchmarkKernelSwitch(b *testing.B) {
+	k := New(1)
+	for _, n := range []int{b.N / 2, b.N - b.N/2} {
+		k.Spawn("stepper", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(k.Dispatched()-2)/float64(b.N), "events/op")
+}
+
+// BenchmarkKernelSpawn measures a Spawn + Join from a running proc; run
+// it with -benchmem for the allocation cost.
+func BenchmarkKernelSpawn(b *testing.B) {
+	k := New(1)
+	k.Spawn("parent", func(p *Proc) {
+		child := func(q *Proc) {}
+		for i := 0; i < b.N; i++ {
+			p.Join(p.Spawn("child", child))
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
