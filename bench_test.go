@@ -1,9 +1,10 @@
 package dmetabench
 
-// One benchmark per table/figure of the thesis evaluation (see DESIGN.md
-// for the experiment index) plus micro-benchmarks of the substrates.
-// Each experiment benchmark performs a full simulated run per iteration;
-// the headline result is attached via b.ReportMetric, so
+// One sub-benchmark per table/figure of the thesis evaluation,
+// generated from the experiment registry (see DESIGN.md for the
+// experiment index), plus micro-benchmarks of the substrates. Each
+// experiment sub-benchmark performs a full simulated run per iteration
+// and attaches every report row via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
@@ -42,34 +43,33 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runExperiment executes one experiment per iteration and reports the
-// named rows as benchmark metrics.
-func runExperiment(b *testing.B, run func() *experiments.Report, metrics ...string) {
-	b.Helper()
-	var rep *experiments.Report
-	for i := 0; i < b.N; i++ {
-		rep = run()
-	}
-	if rep == nil {
-		b.Fatal("experiment returned nil")
-	}
-	want := make(map[string]bool, len(metrics))
-	for _, m := range metrics {
-		want[m] = true
-	}
-	for _, row := range rep.Rows {
-		if want[row.Name] {
-			unit := row.Unit
-			if unit == "" {
-				unit = "val"
+// BenchmarkExperiment runs every experiment of the registry as a
+// sub-benchmark (BenchmarkExperiment/E07), one full simulated run per
+// iteration, and reports every row of the report as a metric named
+// <row>_<unit>. The long-horizon experiments that read
+// experiments.Period (E31–E33, E35) run at a 10-minute horizon: their
+// defaults simulate hours per cell, more than an iteration should cost.
+func BenchmarkExperiment(b *testing.B) {
+	old := experiments.Period
+	experiments.Period = 10 * time.Minute
+	defer func() { experiments.Period = old }()
+	for _, e := range append(experiments.All(), experiments.Ablations()...) {
+		b.Run(e.ID, func(b *testing.B) {
+			var rep *experiments.Report
+			for i := 0; i < b.N; i++ {
+				if rep = e.Run(); rep.Err != nil {
+					b.Fatal(rep.Err)
+				}
 			}
-			b.ReportMetric(row.Value, sanitize(row.Name)+"_"+sanitize(unit))
-		}
+			for _, row := range rep.Rows {
+				unit := row.Unit
+				if unit == "" {
+					unit = "val"
+				}
+				b.ReportMetric(row.Value, sanitize(row.Name)+"_"+sanitize(unit))
+			}
+		})
 	}
-	if len(rep.Findings) == 0 {
-		b.Fatalf("%s produced no findings (run failed?)", rep.ID)
-	}
-	b.Logf("%s: %s", rep.ID, rep.Findings[0])
 }
 
 func sanitize(s string) string {
@@ -83,203 +83,6 @@ func sanitize(s string) string {
 		}
 	}
 	return string(out)
-}
-
-func BenchmarkE01SyscallCounts(b *testing.B) {
-	runExperiment(b, experiments.E01SyscallCounts, "ops amplification")
-}
-
-func BenchmarkE02HarnessOverhead(b *testing.B) {
-	runExperiment(b, experiments.E02HarnessOverhead, "overhead per op")
-}
-
-func BenchmarkE03CPUHogCOV(b *testing.B) {
-	runExperiment(b, experiments.E03CPUHogCOV,
-		"throughput before hog", "throughput during hog", "max COV during hog")
-}
-
-func BenchmarkE04SnapshotNoise(b *testing.B) {
-	runExperiment(b, experiments.E04SnapshotNoise, "max COV during snapshots")
-}
-
-func BenchmarkE05ConsistencyPoints(b *testing.B) {
-	runExperiment(b, experiments.E05ConsistencyPoints,
-		"peak interval throughput", "trough interval throughput")
-}
-
-func BenchmarkE06WriteInterference(b *testing.B) {
-	runExperiment(b, experiments.E06WriteInterference,
-		"throughput before write", "throughput during write")
-}
-
-func BenchmarkE07CreateScaling(b *testing.B) {
-	runExperiment(b, experiments.E07CreateScaling,
-		"NFS creates/s @ 16 nodes x1", "Lustre creates/s @ 16 nodes x1")
-}
-
-func BenchmarkE08LargeDirectories(b *testing.B) {
-	runExperiment(b, experiments.E08LargeDirectories,
-		"NFS (linear dirs) @ 100000 entries", "NFS/WAFL (hash dirs) @ 100000 entries")
-}
-
-func BenchmarkE09AllocationBursts(b *testing.B) {
-	runExperiment(b, experiments.E09AllocationBursts,
-		"OSS pre-allocation refills", "dip depth")
-}
-
-func BenchmarkE10PriorityScheduling(b *testing.B) {
-	runExperiment(b, experiments.E10PriorityScheduling,
-		"nice 0 ops/s during load", "nice 10 ops/s during load")
-}
-
-func BenchmarkE11SMPScaling(b *testing.B) {
-	runExperiment(b, experiments.E11SMPScaling,
-		"NFS creates/s @ ppn 32", "CXFS creates/s @ ppn 32")
-}
-
-func BenchmarkE12LatencySweep(b *testing.B) {
-	runExperiment(b, experiments.E12LatencySweep,
-		"RTT 10.0ms: NFS creates", "RTT 10.0ms: write-back creates")
-}
-
-func BenchmarkE13NamespaceAggregation(b *testing.B) {
-	runExperiment(b, experiments.E13NamespaceAggregation,
-		"remote efficiency", "per-node volumes @ 8 nodes x4", "single volume @ 8 nodes x4")
-}
-
-func BenchmarkE14AFS(b *testing.B) {
-	runExperiment(b, experiments.E14AFS,
-		"AFS StatNocacheFiles", "NFS StatNocacheFiles")
-}
-
-func BenchmarkE15WritebackCaching(b *testing.B) {
-	runExperiment(b, experiments.E15WritebackCaching,
-		"burst rate (first 200ms)", "sustained rate (4..8s)")
-}
-
-func BenchmarkE16ShardScaling(b *testing.B) {
-	runExperiment(b, experiments.E16ShardScaling,
-		"creates/s @  1 shards", "creates/s @  8 shards", "speedup 1->16 shards")
-}
-
-func BenchmarkE17ShardSkew(b *testing.B) {
-	runExperiment(b, experiments.E17ShardSkew,
-		"hash advantage under skew", "subtree advantage under uniform")
-}
-
-func BenchmarkE18CrossShard(b *testing.B) {
-	runExperiment(b, experiments.E18CrossShard,
-		"cross-shard rename penalty", "merge penalty")
-}
-
-func BenchmarkE19Failover(b *testing.B) {
-	runExperiment(b, experiments.E19FailoverTimeline,
-		"single: outage window", "repl: outage window", "repl: takeover latency")
-}
-
-func BenchmarkE20ReplicationOverhead(b *testing.B) {
-	runExperiment(b, experiments.E20ReplicationOverhead,
-		"replication cost @ 2 shards", "replication cost @ 8 shards")
-}
-
-func BenchmarkE21RecoveryScaling(b *testing.B) {
-	runExperiment(b, experiments.E21RecoveryScaling, "detection floor")
-}
-
-func BenchmarkE22LeaseTTL(b *testing.B) {
-	runExperiment(b, experiments.E22LeaseTTL,
-		"lease  25ms: hit rate", "lease    4s: hit rate")
-}
-
-func BenchmarkE23CacheModes(b *testing.B) {
-	runExperiment(b, experiments.E23CacheModes,
-		"4 shards: lease 30s hit rate", "4 shards: ttl 3s hit rate")
-}
-
-func BenchmarkE24FailoverCachedLoad(b *testing.B) {
-	runExperiment(b, experiments.E24FailoverCachedLoad,
-		"invalidate: stale-read window", "no invalidate: stale-read window")
-}
-
-func BenchmarkE25SplitScaling(b *testing.B) {
-	runExperiment(b, experiments.E25SplitScaling,
-		"creates/s @  8 shards, split off", "creates/s @  8 shards, split on",
-		"split advantage @ 8 shards")
-}
-
-func BenchmarkE26SplitStorm(b *testing.B) {
-	runExperiment(b, experiments.E26SplitStorm,
-		"threshold   512: deepest split dip", "threshold  8192: deepest split dip")
-}
-
-func BenchmarkE27SplitRouting(b *testing.B) {
-	runExperiment(b, experiments.E27SplitRouting,
-		"bitmap ttl  50ms: bounces/revisit", "bitmap ttl   10s: bounces/revisit",
-		"fan-out penalty")
-}
-
-func BenchmarkE28BackendProfile(b *testing.B) {
-	runExperiment(b, experiments.E28BackendProfile,
-		"memjournal: create", "btree     : create", "lsm ENOENT discount")
-}
-
-func BenchmarkE29CompactionTimeline(b *testing.B) {
-	runExperiment(b, experiments.E29CompactionTimeline,
-		"compact every  2MB: deepest dip", "compact every 32MB: deepest dip")
-}
-
-func BenchmarkE30GroupCommit(b *testing.B) {
-	runExperiment(b, experiments.E30GroupCommit,
-		"throughput cost, window    0us", "mirror traffic, window 4000us")
-}
-
-// scaledPeriod wraps a long-horizon experiment (E31-E33) with a reduced
-// virtual-time horizon: the defaults simulate hours per cell, which is
-// more than a benchmark iteration should cost. The scaled runs keep the
-// full pipeline — aggregate injection, stage harness, interval series.
-func scaledPeriod(d time.Duration, run func() *experiments.Report) func() *experiments.Report {
-	return func() *experiments.Report {
-		old := experiments.Period
-		experiments.Period = d
-		defer func() { experiments.Period = old }()
-		return run()
-	}
-}
-
-func BenchmarkE31AggregateDay(b *testing.B) {
-	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E31AggregateDay),
-		"diurnal        mean background", "diurnal+flash  peak/trough",
-		"diurnal+flash  shed fraction")
-}
-
-func BenchmarkE32ForegroundTail(b *testing.B) {
-	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E32ForegroundTail),
-		"10k   clients  shared  p99", "1M    clients  shared  p99")
-}
-
-func BenchmarkE33CapacityPressure(b *testing.B) {
-	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E33CapacityPressure),
-		"1M    clients  server lease entries", "1M    clients  modeled per-client table")
-}
-
-func BenchmarkE34DomainedServers(b *testing.B) {
-	runExperiment(b, experiments.E34DomainedServers,
-		"nfs    domained creates/s", "lustre parallelism headroom")
-}
-
-func BenchmarkE35FilerAtScale(b *testing.B) {
-	runExperiment(b, scaledPeriod(10*time.Minute, experiments.E35FilerAtScale),
-		"shed fraction", "loaded  foreground p99")
-}
-
-func BenchmarkA01AveragingMethods(b *testing.B) {
-	runExperiment(b, experiments.A01AveragingMethods,
-		"wall-clock average", "stonewall average")
-}
-
-func BenchmarkA02WritebackWindow(b *testing.B) {
-	runExperiment(b, experiments.A02WritebackWindow,
-		"window  4096: burst", "window  4096: sustained")
 }
 
 // --- substrate micro-benchmarks ---

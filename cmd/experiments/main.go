@@ -6,6 +6,9 @@
 // Experiments decompose into independent cells (internal/par) and the
 // whole suite fans out across -j workers; reports are assembled and
 // printed in suite order, so the output is byte-identical at any -j.
+// Every report is printed (and -md written) even when an experiment
+// fails; the failures are then listed on stderr and the exit status
+// is 1.
 //
 //	experiments                  # run everything, one worker per CPU
 //	experiments -j 1             # serial
@@ -20,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -34,6 +38,14 @@ import (
 )
 
 func main() {
+	if status := run(); status != 0 {
+		os.Exit(status)
+	}
+}
+
+// run is the command body; it returns the exit status, so deferred
+// profile writers finish before the process exits.
+func run() int {
 	var (
 		runPat     = flag.String("run", "", "experiment filter: comma-separated ids or anchored regexes (default: all)")
 		mdOut      = flag.String("md", "", "write a markdown report to this file")
@@ -49,7 +61,7 @@ func main() {
 	flag.Parse()
 	if err := checkFlags(*workers, *domains, *period); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		return 2
 	}
 	experiments.Domains = *domains
 	experiments.Period = *period
@@ -58,13 +70,13 @@ func main() {
 
 	if *list {
 		listExperiments(suite)
-		return
+		return 0
 	}
 
 	match, err := compileFilter(*runPat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: bad -run pattern %q: %v\n", *runPat, err)
-		os.Exit(1)
+		return 1
 	}
 	var selected []experiments.Experiment
 	for _, e := range suite {
@@ -74,19 +86,19 @@ func main() {
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "experiments: no experiment matches -run %q\n", *runPat)
-		os.Exit(1)
+		return 1
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -94,12 +106,12 @@ func main() {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := trace.Start(f); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer trace.Stop()
 	}
@@ -131,8 +143,10 @@ func main() {
 	md.WriteString("resulting *shape* against the corresponding thesis table/figure.\n")
 	md.WriteString("Absolute numbers differ from the 2008 LRZ hardware by design.\n\n")
 
-	for _, o := range outs {
+	reps := make([]*experiments.Report, len(outs))
+	for i, o := range outs {
 		rep := o.rep
+		reps[i] = rep
 		fmt.Printf("%s [%.1fs real]\n\n", rep.String(), o.elapsed.Seconds())
 
 		fmt.Fprintf(&md, "## %s — %s\n\n*Paper reference: %s.*\n\n", rep.ID, rep.Title, rep.PaperRef)
@@ -166,7 +180,7 @@ func main() {
 	if *mdOut != "" {
 		if err := os.WriteFile(*mdOut, []byte(md.String()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println("wrote", *mdOut)
 	}
@@ -175,15 +189,29 @@ func main() {
 		f, err := os.Create(*memProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return reportFailures(os.Stderr, reps)
+}
+
+// reportFailures writes one line per failed report to w and returns
+// the suite's exit status: 1 if any report failed, else 0.
+func reportFailures(w io.Writer, reps []*experiments.Report) int {
+	status := 0
+	for _, rep := range reps {
+		if rep.Err != nil {
+			fmt.Fprintf(w, "experiments: %s failed: %v\n", rep.ID, rep.Err)
+			status = 1
+		}
+	}
+	return status
 }
 
 // checkFlags rejects numeric flag values that have no meaning: a
@@ -238,8 +266,8 @@ func listExperiments(suite []experiments.Experiment) {
 
 // benchCosts maps experiment ids to ns_per_op from the newest
 // BENCH_*.json snapshot in the working directory (benchmark names are
-// matched by their "Benchmark<ID>" prefix). Missing snapshot or
-// unparseable content yields an empty map — -list then shows "-".
+// mapped to ids by benchID). Missing snapshot or unparseable content
+// yields an empty map — -list then shows "-".
 func benchCosts() map[string]float64 {
 	files, err := os.ReadDir(".")
 	if err != nil {
@@ -269,21 +297,33 @@ func benchCosts() map[string]float64 {
 	}
 	costs := make(map[string]float64)
 	for name, b := range snap.Benchmarks {
-		rest, ok := strings.CutPrefix(name, "Benchmark")
-		if !ok {
-			continue
+		if id, ok := benchID(name); ok {
+			costs[id] = b.NsPerOp
 		}
-		// "BenchmarkE19Failover" -> id "E19": letter prefix + digits.
-		i := 1
-		for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
-			i++
-		}
-		if i == 1 {
-			continue
-		}
-		costs[rest[:i]] = b.NsPerOp
 	}
 	return costs
+}
+
+// benchID returns the experiment id a snapshot benchmark measures, from
+// the generated sub-benchmark ("BenchmarkExperiment/E19") or from the
+// per-experiment benchmark of older snapshots ("BenchmarkE19Failover"):
+// a letter followed by digits. ok is false for any other benchmark.
+func benchID(name string) (id string, ok bool) {
+	rest, ok := strings.CutPrefix(name, "Benchmark")
+	if !ok {
+		return "", false
+	}
+	if sub, ok := strings.CutPrefix(rest, "Experiment/"); ok {
+		rest = sub
+	}
+	i := 1
+	for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
+		i++
+	}
+	if i == 1 {
+		return "", false
+	}
+	return rest[:i], true
 }
 
 // printCellTimings renders the drained per-cell timing log grouped by

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"dmetabench/internal/afs"
 	"dmetabench/internal/charts"
@@ -29,9 +28,8 @@ func E13NamespaceAggregation() *Report {
 	type e13a struct {
 		local, remote float64
 		forwards      int64
-		err           error
 	}
-	probeLocalRemote := func() e13a {
+	probeLocalRemote := func() (e13a, error) {
 		k := sim.New(1313)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := ontapgx.New(k, "gx", filers, ontapgx.DefaultConfig())
@@ -39,34 +37,36 @@ func E13NamespaceAggregation() *Report {
 			fsys.AddVolume(fmt.Sprintf("vol%d", i), i)
 		}
 		fsys.MountThrough(cl.Nodes[0], 0)
-		var local, remote float64
-		k.Spawn("probe", func(p *sim.Proc) {
+		var a e13a
+		err := runProc(k, "probe", func(p *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], p)
-			rate := func(dir string) float64 {
+			rate := func(dir string) (float64, error) {
 				if err := core.MkdirAll(c, dir); err != nil {
-					return 0
+					return 0, err
 				}
 				start := p.Now()
 				const n = 500
 				for i := 0; i < n; i++ {
 					if err := c.Create(fmt.Sprintf("%s/%d", dir, i)); err != nil {
-						return 0
+						return 0, err
 					}
 				}
-				return n / (p.Now() - start).Seconds()
+				return n / (p.Now() - start).Seconds(), nil
 			}
-			local = rate("/vol0/bench")  // owned by the mount filer
-			remote = rate("/vol3/bench") // owned by filer 3: forwarded
+			var err error
+			if a.local, err = rate("/vol0/bench"); err != nil { // owned by the mount filer
+				return err
+			}
+			a.remote, err = rate("/vol3/bench") // owned by filer 3: forwarded
+			return err
 		})
-		if err := k.Run(); err != nil {
-			return e13a{err: err}
-		}
-		return e13a{local: local, remote: remote, forwards: fsys.ForwardCount}
+		a.forwards = fsys.ForwardCount
+		return a, err
 	}
 
 	// Part (b): multi-node scaling, per-node local volumes vs one shared
 	// volume — one ParallelRunner cell per (nodes, ppn) sweep point.
-	scale := func(oneVolume bool, seed int64, label string) *results.Set {
+	scale := func(oneVolume bool, seed int64, label string) (*results.Set, error) {
 		pr := &core.ParallelRunner{
 			New: func(k *sim.Kernel) *core.Runner {
 				cl := cluster.New(k, cluster.DefaultConfig(filers))
@@ -96,11 +96,7 @@ func E13NamespaceAggregation() *Report {
 			Seed:  seed,
 			Label: label,
 		}
-		set, err := pr.Run()
-		if err != nil {
-			return nil
-		}
-		return set
+		return runSet(pr)
 	}
 
 	// Three top-level cells (the probe plus two nested 8-cell sweeps).
@@ -108,22 +104,22 @@ func E13NamespaceAggregation() *Report {
 		a   e13a
 		set *results.Set
 	}
-	cells := parCells("E13", []string{"local-vs-remote", "per-node-volumes", "one-volume"},
-		func(i int) e13cell {
+	cells, err := parCells("E13", []string{"local-vs-remote", "per-node-volumes", "one-volume"},
+		func(i int) (c e13cell, err error) {
 			switch i {
 			case 0:
-				return e13cell{a: probeLocalRemote()}
+				c.a, err = probeLocalRemote()
 			case 1:
-				return e13cell{set: scale(false, 1314, "E13/per-node-volumes")}
+				c.set, err = scale(false, 1314, "E13/per-node-volumes")
 			default:
-				return e13cell{set: scale(true, 1315, "E13/one-volume")}
+				c.set, err = scale(true, 1315, "E13/one-volume")
 			}
+			return c, err
 		})
-	a := cells[0].a
-	if a.err != nil {
-		r.finding("run failed: %v", a.err)
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
+	a := cells[0].a
 	r.row("creates/s in local volume", a.local, "ops/s", "volume on mount filer")
 	r.row("creates/s in forwarded volume", a.remote, "ops/s", "via cluster interconnect")
 	r.row("remote efficiency", 100*a.remote/a.local, "%", "[ECK+07] claims ~75%")
@@ -132,10 +128,6 @@ func E13NamespaceAggregation() *Report {
 		"runs at %.0f%% of local", 100*a.remote/a.local)
 
 	perVol, oneVol := cells[1].set, cells[2].set
-	if perVol == nil || oneVol == nil {
-		r.finding("scaling run failed")
-		return r
-	}
 	r.Sets = append(r.Sets, perVol, oneVol)
 	for _, n := range []int{1, 4, 8} {
 		r.row(fmt.Sprintf("per-node volumes @ %d nodes x1", n), stoneOf(perVol, "MakeFiles", n, 1), "ops/s", "")
@@ -171,7 +163,7 @@ func afsEnv(seed int64) (*sim.Kernel, *cluster.Cluster, *afs.FS, []string) {
 	return k, cl, cell, paths
 }
 
-func afsRun(plugin core.Plugin, nodes, problem int, seed int64) (*results.Set, *afs.FS) {
+func afsRun(plugin core.Plugin, nodes, problem int, seed int64) (*results.Set, *afs.FS, error) {
 	_, cl, cell, paths := afsEnv(seed)
 	r := &core.Runner{
 		Cluster:      cl,
@@ -181,11 +173,8 @@ func afsRun(plugin core.Plugin, nodes, problem int, seed int64) (*results.Set, *
 		Plugins:      []core.Plugin{plugin},
 		Filter:       func(c core.Combo) bool { return c.Nodes == nodes && c.PPN == 1 },
 	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, nil
-	}
-	return set, cell
+	set, err := runSet(r)
+	return set, cell, err
 }
 
 // E14AFS reproduces §4.7.3: AFS serves cached attribute reads from its
@@ -203,37 +192,34 @@ func E14AFS() *Report {
 		cell *afs.FS
 		rate float64
 	}
-	cells := parCells("E14", []string{"afs-warm", "afs-nocache", "afs-multinode",
-		"afs-creates", "nfs-warm", "nfs-nocache"}, func(i int) e14cell {
-		switch i {
-		case 0:
-			s, c := afsRun(core.StatFiles{}, 1, problem, 1401)
-			return e14cell{set: s, cell: c}
-		case 1:
-			s, c := afsRun(core.StatNocacheFiles{}, 1, problem, 1402)
-			return e14cell{set: s, cell: c}
-		case 2:
-			s, c := afsRun(core.StatMultinodeFiles{}, 2, problem, 1403)
-			return e14cell{set: s, cell: c}
-		case 3:
-			s, c := afsRun(core.MakeFiles{}, 4, 600, 1404)
-			return e14cell{set: s, cell: c}
-		case 4:
-			return e14cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
-				return newNFSFS(k, "home", nfs.DefaultConfig())
-			}, core.StatFiles{}, problem, 1405)}
-		default:
-			return e14cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
-				return newNFSFS(k, "home", nfs.DefaultConfig())
-			}, core.StatNocacheFiles{}, problem, 1406)}
+	afsRuns := []struct {
+		plugin         core.Plugin
+		nodes, problem int
+	}{
+		{core.StatFiles{}, 1, problem},
+		{core.StatNocacheFiles{}, 1, problem},
+		{core.StatMultinodeFiles{}, 2, problem},
+		{core.MakeFiles{}, 4, 600},
+	}
+	nfsProbes := []core.Plugin{core.StatFiles{}, core.StatNocacheFiles{}}
+	cells, err := parCells("E14", []string{"afs-warm", "afs-nocache", "afs-multinode",
+		"afs-creates", "nfs-warm", "nfs-nocache"}, func(i int) (c e14cell, err error) {
+		seed := int64(1401 + i)
+		if i < len(afsRuns) {
+			a := afsRuns[i]
+			c.set, c.cell, err = afsRun(a.plugin, a.nodes, a.problem, seed)
+			return c, err
 		}
+		c.rate, err = singleProcWall(func(k *sim.Kernel) core.FileSystem {
+			return newNFSFS(k, "home", nfs.DefaultConfig())
+		}, nfsProbes[i-len(afsRuns)], core.Params{ProblemSize: problem}, seed)
+		return c, err
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	warm, nocache, multi, creates := cells[0].set, cells[1].set, cells[2].set, cells[3].set
 	cell := cells[1].cell
-	if warm == nil || nocache == nil || multi == nil || creates == nil {
-		r.finding("run failed")
-		return r
-	}
 	r.Sets = append(r.Sets, warm, nocache, multi, creates)
 
 	// NFS contrast: dropping caches forces RPCs.
@@ -256,6 +242,5 @@ func E14AFS() *Report {
 		"StatNocacheFiles stays near the warm rate (here %.1f%%) while NFS falls "+
 		"to %.1f%% of warm; cross-node stats drop to %.1f%% on AFS",
 		100*aNo/aWarm, 100*nfsNoCache/nfsWarm, 100*aMulti/aWarm)
-	_ = time.Second
 	return r
 }

@@ -41,9 +41,8 @@ func E28BackendProfile() *Report {
 	shardCounts := []int{1, 2, 4, 8}
 	type probe struct {
 		create, stat, enoent, readdir time.Duration
-		err                           error
 	}
-	run := func(kind shard.BackendKind, nShards int) probe {
+	run := func(kind shard.BackendKind, nShards int) (probe, error) {
 		cfg := shard.DefaultConfig(nShards)
 		cfg.Backend = kind
 		cfg.CacheMode = shard.CacheNone
@@ -51,27 +50,27 @@ func E28BackendProfile() *Report {
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := newShardFS(k, "meta", cfg)
 		var p probe
-		k.Spawn("probe", func(sp *sim.Proc) {
+		err := runProc(k, "probe", func(sp *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], sp)
-			if p.err = c.Mkdir("/d"); p.err != nil {
-				return
+			if err := c.Mkdir("/d"); err != nil {
+				return err
 			}
 			for i := 0; i < warm; i++ {
-				if p.err = c.Create(fmt.Sprintf("/d/w%d", i)); p.err != nil {
-					return
+				if err := c.Create(fmt.Sprintf("/d/w%d", i)); err != nil {
+					return err
 				}
 			}
 			start := sp.Now()
 			for i := 0; i < ops; i++ {
-				if p.err = c.Create(fmt.Sprintf("/d/f%d", i)); p.err != nil {
-					return
+				if err := c.Create(fmt.Sprintf("/d/f%d", i)); err != nil {
+					return err
 				}
 			}
 			p.create = (sp.Now() - start) / ops
 			start = sp.Now()
 			for i := 0; i < ops; i++ {
-				if _, p.err = c.Stat(fmt.Sprintf("/d/f%d", i)); p.err != nil {
-					return
+				if _, err := c.Stat(fmt.Sprintf("/d/f%d", i)); err != nil {
+					return err
 				}
 			}
 			p.stat = (sp.Now() - start) / ops
@@ -80,23 +79,20 @@ func E28BackendProfile() *Report {
 				// Distinct missing names: CacheNone keeps no negative
 				// dentries for them, so every stat reaches the server.
 				if _, err := c.Stat(fmt.Sprintf("/d/m%d", i)); err == nil {
-					p.err = fmt.Errorf("stat of missing name succeeded")
-					return
+					return fmt.Errorf("stat of missing name succeeded")
 				}
 			}
 			p.enoent = (sp.Now() - start) / ops
 			start = sp.Now()
 			for i := 0; i < rds; i++ {
-				if _, p.err = c.ReadDir("/d"); p.err != nil {
-					return
+				if _, err := c.ReadDir("/d"); err != nil {
+					return err
 				}
 			}
 			p.readdir = (sp.Now() - start) / rds
+			return nil
 		})
-		if err := k.Run(); err != nil && p.err == nil {
-			p.err = err
-		}
-		return p
+		return p, err
 	}
 	// One cell per (backend, shard count) pair — 12 independent kernels.
 	names := make([]string, 0, len(backendKinds)*len(shardCounts))
@@ -105,18 +101,13 @@ func E28BackendProfile() *Report {
 			names = append(names, fmt.Sprintf("%s-%dshards", kind, n))
 		}
 	}
-	cells := parCells("E28", names, func(i int) probe {
+	cells, err := parCells("E28", names, func(i int) (probe, error) {
 		return run(backendKinds[i/len(shardCounts)], shardCounts[i%len(shardCounts)])
 	})
-	byKind := func(k, s int) probe { return cells[k*len(shardCounts)+s] }
-	for k, kind := range backendKinds {
-		for s, n := range shardCounts {
-			if p := byKind(k, s); p.err != nil {
-				r.finding("probe failed: %s @ %d shards: %v", kind, n, p.err)
-				return r
-			}
-		}
+	if err != nil {
+		return r.fail(err)
 	}
+	byKind := func(k, s int) probe { return cells[k*len(shardCounts)+s] }
 	last := len(shardCounts) - 1
 	for k, kind := range backendKinds {
 		p := byKind(k, last)
@@ -173,56 +164,42 @@ func E29CompactionTimeline() *Report {
 	r := &Report{ID: "E29", Title: "Compaction-pause timeline: throughput dips vs. LSM compaction interval",
 		PaperRef: "beyond §4.2 + §2.7 (self-inflicted stalls in the timeline)"}
 	const window = 12 * time.Second
-	run := func(seed int64, compactEvery int64) (*results.Measurement, *results.Set, *shard.FS, time.Duration) {
-		cfg := shard.DefaultConfig(8)
-		cfg.Backend = shard.BackendLSM
-		cfg.LSM.CompactEvery = compactEvery
-		k := sim.New(seed)
-		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newShardFS(k, "meta", cfg)
-		var benchStart time.Duration
-		rn := &core.Runner{
-			Cluster: cl,
-			FS:      fsys,
-			Params: core.Params{ProblemSize: 1 << 20, TimeLimit: window,
-				WorkDir: "/bench"},
-			SlotsPerNode: 2,
-			Plugins:      []core.Plugin{core.MakeFiles{}},
-			Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 2 },
-			BenchStartHook: func(mp *sim.Proc, _ core.MeasurementInfo) {
-				benchStart = mp.Now()
-			},
-		}
-		set, err := rn.Run()
-		if err != nil {
-			return nil, nil, fsys, 0
-		}
-		return set.Find("MakeFiles", 8, 2), set, fsys, benchStart
-	}
-	intervals := []int64{2 << 20, 8 << 20, 32 << 20}
 	type e29cell struct {
 		m     *results.Measurement
 		set   *results.Set
 		fs    *shard.FS
 		start time.Duration
 	}
+	run := func(seed int64, compactEvery int64) (c e29cell, err error) {
+		cfg := shard.DefaultConfig(8)
+		cfg.Backend = shard.BackendLSM
+		cfg.LSM.CompactEvery = compactEvery
+		load := shardRun{nodes: 8, ppn: 2, dir: "/bench", plugin: core.MakeFiles{},
+			problem: 1 << 20, window: window,
+			hook: func(_ *shard.FS, mp *sim.Proc) { c.start = mp.Now() }}
+		c.set, c.fs, err = load.run(seed, cfg)
+		if err != nil {
+			return c, err
+		}
+		c.m = load.find(c.set)
+		return c, nil
+	}
+	intervals := []int64{2 << 20, 8 << 20, 32 << 20}
 	names := make([]string, len(intervals))
 	for i, every := range intervals {
 		names[i] = fmt.Sprintf("every%dMB", every>>20)
 	}
-	cells := parCells("E29", names, func(i int) e29cell {
-		m, set, fsys, start := run(int64(2900+i), intervals[i])
-		return e29cell{m, set, fsys, start}
+	cells, err := parCells("E29", names, func(i int) (e29cell, error) {
+		return run(int64(2900+i), intervals[i])
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var chartsOut []string
 	var smallDip, largeDip, largeCOV float64
 	var largePause time.Duration
 	for i, every := range intervals {
 		m, set, fsys, start := cells[i].m, cells[i].set, cells[i].fs, cells[i].start
-		if m == nil {
-			r.finding("run failed at %dMB", every>>20)
-			return r
-		}
 		r.Sets = append(r.Sets, set)
 		rate := wallOf(set, "MakeFiles", 8, 2)
 		var meanPause time.Duration
@@ -298,7 +275,7 @@ func E30GroupCommit() *Report {
 		PaperRef: "beyond §4.3 (HopsFS-style batched commits)"}
 	const nShards = 4
 	windows := []time.Duration{0, 250 * time.Microsecond, time.Millisecond, 4 * time.Millisecond}
-	plugin := e16Workload(0)
+	load := wideRun(e16Workload(0), 400)
 	mkCfg := func(replicate bool, w time.Duration) shard.Config {
 		cfg := shard.DefaultConfig(nShards)
 		cfg.Replicate = replicate
@@ -315,34 +292,30 @@ func E30GroupCommit() *Report {
 		mirrors int64
 		batches int64
 	}
-	type lcell struct {
-		create time.Duration
-		err    error
-	}
-	probeLatency := func(w time.Duration) lcell {
+	// probeLatency returns the mean create latency of one uncontended
+	// client.
+	probeLatency := func(w time.Duration) (time.Duration, error) {
 		cfg := mkCfg(true, w)
 		k := sim.New(3001)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := newShardFS(k, "meta", cfg)
-		var c0 lcell
-		k.Spawn("probe", func(sp *sim.Proc) {
+		var create time.Duration
+		err := runProc(k, "probe", func(sp *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], sp)
-			if c0.err = c.Mkdir("/d"); c0.err != nil {
-				return
+			if err := c.Mkdir("/d"); err != nil {
+				return err
 			}
 			const ops = 200
 			start := sp.Now()
 			for i := 0; i < ops; i++ {
-				if c0.err = c.Create(fmt.Sprintf("/d/f%d", i)); c0.err != nil {
-					return
+				if err := c.Create(fmt.Sprintf("/d/f%d", i)); err != nil {
+					return err
 				}
 			}
-			c0.create = (sp.Now() - start) / ops
+			create = (sp.Now() - start) / ops
+			return nil
 		})
-		if err := k.Run(); err != nil && c0.err == nil {
-			c0.err = err
-		}
-		return c0
+		return create, err
 	}
 	// Cells: one unreplicated baseline, one replicated throughput run
 	// per window, one latency probe per window — 9 independent kernels.
@@ -354,40 +327,35 @@ func E30GroupCommit() *Report {
 		names = append(names, fmt.Sprintf("latency-w%dus", w.Microseconds()))
 	}
 	tcells := make([]tcell, 1+len(windows))
-	lcells := make([]lcell, len(windows))
-	parCells("E30", names, func(i int) struct{} {
-		switch {
-		case i == 0:
-			set, _ := runSharded(3000, mkCfg(false, 0), plugin, 400)
-			if set != nil {
-				tcells[0] = tcell{set: set, rate: wallOf(set, plugin.Name(), 16, 4)}
-			}
-		case i <= len(windows):
-			set, fsys := runSharded(3000, mkCfg(true, windows[i-1]), plugin, 400)
-			if set != nil {
-				tcells[i] = tcell{set: set, rate: wallOf(set, plugin.Name(), 16, 4),
-					mirrors: fsys.MirrorCount, batches: fsys.GroupCommits}
-			}
-		default:
-			lcells[i-1-len(windows)] = probeLatency(windows[i-1-len(windows)])
+	lcells := make([]time.Duration, len(windows))
+	_, err := parCells("E30", names, func(i int) (struct{}, error) {
+		if i > len(windows) {
+			var err error
+			lcells[i-1-len(windows)], err = probeLatency(windows[i-1-len(windows)])
+			return struct{}{}, err
 		}
-		return struct{}{}
+		cfg := mkCfg(false, 0)
+		if i > 0 {
+			cfg = mkCfg(true, windows[i-1])
+		}
+		set, fsys, err := load.run(3000, cfg)
+		if err != nil {
+			return struct{}{}, err
+		}
+		tcells[i] = tcell{set: set, rate: load.rate(set),
+			mirrors: fsys.MirrorCount, batches: fsys.GroupCommits}
+		return struct{}{}, nil
 	})
-	plain := tcells[0]
-	if plain.set == nil {
-		r.finding("baseline run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
+	plain := tcells[0]
 	r.Sets = append(r.Sets, plain.set)
 	r.row("creates/s, no replication", plain.rate, "ops/s",
 		fmt.Sprintf("%d shards, 16 threads", nShards))
 	var xs, overheadY, tripsY, latencyY []float64
 	for i, w := range windows {
 		t, l := tcells[i+1], lcells[i]
-		if t.set == nil || l.err != nil {
-			r.finding("run failed at window %v (err=%v)", w, l.err)
-			return r
-		}
 		r.Sets = append(r.Sets, t.set)
 		overhead := 100 * (1 - t.rate/plain.rate)
 		trips := 100 * float64(t.mirrors) / float64(tcells[1].mirrors)
@@ -401,11 +369,11 @@ func E30GroupCommit() *Report {
 		r.row(fmt.Sprintf("mirror traffic, window %4dus", w.Microseconds()), trips, "%",
 			"round trips relative to per-op replication")
 		r.row(fmt.Sprintf("probe create latency, window %4dus", w.Microseconds()),
-			float64(l.create.Microseconds()), "us", "single uncontended client")
+			float64(l.Microseconds()), "us", "single uncontended client")
 		xs = append(xs, float64(w.Microseconds()))
 		overheadY = append(overheadY, overhead)
 		tripsY = append(tripsY, trips)
-		latencyY = append(latencyY, float64(l.create.Microseconds()))
+		latencyY = append(latencyY, float64(l.Microseconds()))
 	}
 	last := len(windows) - 1
 	r.finding("group commit is a message-count knob, not a throughput knob, in a "+

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"dmetabench/internal/charts"
-	"dmetabench/internal/cluster"
 	"dmetabench/internal/core"
 	"dmetabench/internal/fault"
 	"dmetabench/internal/results"
@@ -34,26 +34,10 @@ func e22Load(skew float64) core.StatMutateFiles {
 	return core.StatMutateFiles{Files: 640, MutateEvery: 16, Skew: skew}
 }
 
-// runCoherence executes a fixed-size StatMutateFiles run on an 8-node x
-// 2-process cluster and returns the result set plus the FS for counter
-// readout.
-func runCoherence(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*results.Set, *shard.FS) {
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(8))
-	fsys := newShardFS(k, "meta", cfg)
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: problem, WorkDir: "/bench"},
-		SlotsPerNode: 2,
-		Plugins:      []core.Plugin{plugin},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 2 },
-	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, fsys
-	}
-	return set, fsys
+// coherenceRun is the fixed-size Zipf 1.8 stat+mutate run of E22 and
+// E23 on an 8-node x 2-process cluster.
+func coherenceRun(problem int) shardRun {
+	return shardRun{nodes: 8, ppn: 2, dir: "/bench", plugin: e22Load(1.8), problem: problem}
 }
 
 // hitRate returns hits/(hits+misses) as a percentage.
@@ -72,7 +56,7 @@ func hitRate(hits, misses int64) float64 {
 func E22LeaseTTL() *Report {
 	r := &Report{ID: "E22", Title: "Lease TTL sweep: hit rate vs. revocation traffic",
 		PaperRef: "beyond §2.1.2 (callback coherence; MetaFlow/HopsFS direction)"}
-	plugin := e22Load(1.8)
+	load := coherenceRun(8000)
 	ttls := []time.Duration{25 * time.Millisecond, 100 * time.Millisecond,
 		500 * time.Millisecond, 4 * time.Second}
 	// One cell per lease TTL, all with the same seed (the E16 sweep
@@ -88,29 +72,28 @@ func E22LeaseTTL() *Report {
 	for i, ttl := range ttls {
 		names[i] = ttl.String()
 	}
-	cells := parCells("E22", names, func(i int) e22cell {
+	cells, err := parCells("E22", names, func(i int) (e22cell, error) {
 		cfg := shard.DefaultConfig(4)
 		cfg.CacheMode = shard.CacheLease
 		cfg.LeaseTTL = ttls[i]
 		cfg.TrackStaleness = true
-		set, fsys := runCoherence(2200, cfg, plugin, 8000)
-		if set == nil {
-			return e22cell{}
+		set, fsys, err := load.run(2200, cfg)
+		if err != nil {
+			return e22cell{}, err
 		}
 		hits, misses, _, _ := fsys.CacheStats()
 		return e22cell{set: set, hr: hitRate(hits, misses),
-			rate:        wallOf(set, plugin.Name(), 8, 2),
+			rate:        load.rate(set),
 			revocations: fsys.Revocations, grants: fsys.LeaseGrants,
-			stale: fsys.StaleReads}
+			stale: fsys.StaleReads}, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, ys []float64
 	var firstHit, lastHit, firstRev, lastRev float64
 	for i, ttl := range ttls {
 		c := cells[i]
-		if c.set == nil {
-			r.finding("run failed at TTL %v", ttl)
-			return r
-		}
 		r.Sets = append(r.Sets, c.set)
 		xs = append(xs, ttl.Seconds())
 		ys = append(ys, c.hr)
@@ -147,7 +130,7 @@ func E22LeaseTTL() *Report {
 func E23CacheModes() *Report {
 	r := &Report{ID: "E23", Title: "Coherent vs. timeout vs. no client cache across shard counts",
 		PaperRef: "beyond §4.7.3 (AFS callbacks vs. NFS timeouts, per shard count)"}
-	plugin := e22Load(1.8)
+	load := coherenceRun(2000)
 	type cell struct {
 		rate, hit float64
 		stale     int64
@@ -155,7 +138,7 @@ func E23CacheModes() *Report {
 	}
 	// measure is one cell on its own kernel; sets are collected in cell
 	// order by the merge below.
-	measure := func(n int, mode shard.CacheMode, attrTTL time.Duration, seed int64) cell {
+	measure := func(n int, mode shard.CacheMode, attrTTL time.Duration, seed int64) (cell, error) {
 		cfg := shard.DefaultConfig(n)
 		cfg.CacheMode = mode
 		cfg.TrackStaleness = true
@@ -165,17 +148,17 @@ func E23CacheModes() *Report {
 		if mode == shard.CacheLease {
 			cfg.LeaseTTL = 30 * time.Second
 		}
-		set, fsys := runCoherence(seed, cfg, plugin, 2000)
-		if set == nil {
-			return cell{}
+		set, fsys, err := load.run(seed, cfg)
+		if err != nil {
+			return cell{}, err
 		}
 		hits, misses, _, _ := fsys.CacheStats()
 		return cell{
-			rate:  wallOf(set, plugin.Name(), 8, 2),
+			rate:  load.rate(set),
 			hit:   hitRate(hits, misses),
 			stale: fsys.StaleReads,
 			set:   set,
-		}
+		}, nil
 	}
 	shardCounts := []int{1, 2, 4, 8}
 	// 13 cells: (lease, ttl, none) per shard count plus the
@@ -191,26 +174,23 @@ func E23CacheModes() *Report {
 		}
 	}
 	names = append(names, "4shards-ttl2ms")
-	cells := parCells("E23", names, func(i int) cell {
+	cells, err := parCells("E23", names, func(i int) (cell, error) {
 		if i == len(names)-1 {
 			return measure(4, shard.CacheTTL, 2*time.Millisecond, 2340)
 		}
 		si, mi := i/len(modes), i%len(modes)
 		return measure(shardCounts[si], modes[mi].mode, 0, int64(2300+10*si+mi))
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	for _, c := range cells {
-		if c.set != nil {
-			r.Sets = append(r.Sets, c.set)
-		}
+		r.Sets = append(r.Sets, c.set)
 	}
 	var xs, leaseY, ttlY, noneY []float64
 	var lease4, ttl4 cell
 	for i, n := range shardCounts {
 		lease, ttl, none := cells[3*i], cells[3*i+1], cells[3*i+2]
-		if lease.rate == 0 || ttl.rate == 0 || none.rate == 0 {
-			r.finding("run failed at %d shards", n)
-			return r
-		}
 		xs = append(xs, float64(n))
 		leaseY = append(leaseY, lease.rate)
 		ttlY = append(ttlY, ttl.rate)
@@ -229,10 +209,6 @@ func E23CacheModes() *Report {
 	// still serves stale hits, because hot files are revisited faster
 	// than they are mutated.
 	matched := cells[len(cells)-1]
-	if matched.rate == 0 {
-		r.finding("run failed for the hit-rate-matched TTL cell")
-		return r
-	}
 	r.row("4 shards: lease 30s hit rate", lease4.hit, "%",
 		fmt.Sprintf("%d stale reads", lease4.stale))
 	r.row("4 shards: ttl 3s hit rate", ttl4.hit, "%",
@@ -274,36 +250,7 @@ func E24FailoverCachedLoad() *Report {
 	)
 	plan := (&fault.Plan{}).Outage(crashAt, restartAt, 0)
 	if err := plan.Validate(); err != nil {
-		r.finding("bad plan: %v", err)
-		return r
-	}
-	run := func(seed int64, invalidate bool) (*results.Measurement, *results.Set, *shard.FS) {
-		cfg := shard.DefaultConfig(2)
-		cfg.Replicate = true
-		cfg.CacheMode = shard.CacheLease
-		cfg.LeaseTTL = 8 * time.Second
-		cfg.TrackStaleness = true
-		cfg.CrashInvalidate = invalidate
-		k := sim.New(seed)
-		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newShardFS(k, "meta", cfg)
-		rn := &core.Runner{
-			Cluster: cl,
-			FS:      fsys,
-			Params: core.Params{ProblemSize: 1 << 20, TimeLimit: window,
-				WorkDir: "/bench"},
-			SlotsPerNode: 2,
-			Plugins:      []core.Plugin{e22Load(0)},
-			Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 2 },
-			BenchStartHook: func(mp *sim.Proc, _ core.MeasurementInfo) {
-				plan.Start(mp, fsys)
-			},
-		}
-		set, err := rn.Run()
-		if err != nil {
-			return nil, nil, fsys
-		}
-		return set.Find("StatMutateFiles", 8, 2), set, fsys
+		return r.fail(err)
 	}
 	// Two cells: with and without crash-time lease invalidation.
 	type e24cell struct {
@@ -311,16 +258,34 @@ func E24FailoverCachedLoad() *Report {
 		set *results.Set
 		fs  *shard.FS
 	}
-	cells := parCells("E24", []string{"invalidate", "no-invalidate"}, func(i int) e24cell {
-		m, set, fsys := run(int64(2400+i), i == 0)
-		return e24cell{m, set, fsys}
+	run := func(seed int64, invalidate bool) (c e24cell, err error) {
+		cfg := shard.DefaultConfig(2)
+		cfg.Replicate = true
+		cfg.CacheMode = shard.CacheLease
+		cfg.LeaseTTL = 8 * time.Second
+		cfg.TrackStaleness = true
+		cfg.CrashInvalidate = invalidate
+		load := shardRun{nodes: 8, ppn: 2, dir: "/bench", plugin: e22Load(0),
+			problem: 1 << 20, window: window,
+			hook: func(fsys *shard.FS, mp *sim.Proc) { plan.Start(mp, fsys) }}
+		c.set, c.fs, err = load.run(seed, cfg)
+		if err != nil {
+			return c, err
+		}
+		if len(c.fs.Takeovers) == 0 {
+			return c, errors.New("no takeover recorded")
+		}
+		c.m = load.find(c.set)
+		return c, nil
+	}
+	cells, err := parCells("E24", []string{"invalidate", "no-invalidate"}, func(i int) (e24cell, error) {
+		return run(int64(2400+i), i == 0)
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	inval, iset, ifs := cells[0].m, cells[0].set, cells[0].fs
 	stale, sset, sfs := cells[1].m, cells[1].set, cells[1].fs
-	if inval == nil || stale == nil || len(ifs.Takeovers) == 0 || len(sfs.Takeovers) == 0 {
-		r.finding("run failed")
-		return r
-	}
 	r.Sets = append(r.Sets, iset, sset)
 	staleWindow := func(f *shard.FS) time.Duration {
 		w := f.LastStaleAt - f.Takeovers[0].CrashAt

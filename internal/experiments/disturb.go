@@ -1,21 +1,31 @@
 package experiments
 
 import (
+	"cmp"
 	"time"
 
 	"dmetabench/internal/charts"
 	"dmetabench/internal/cluster"
 	"dmetabench/internal/core"
+	"dmetabench/internal/fs"
 	"dmetabench/internal/nfs"
 	"dmetabench/internal/results"
 	"dmetabench/internal/sim"
 )
 
+// nfsRun is one nfsMakeFilesRun cell's result. Every disturbance
+// experiment pairs a clean cell with a disturbed cell; the two runs
+// share a seed but nothing else, so they fan out independently.
+type nfsRun struct {
+	m   *results.Measurement
+	set *results.Set
+}
+
 // nfsMakeFilesRun executes a timed MakeFiles run on an NFS filer with the
 // given node count and an optional bench-start hook, returning the single
 // measurement.
 func nfsMakeFilesRun(seed int64, nodes int, window time.Duration,
-	hook func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc)) (*results.Measurement, *results.Set) {
+	hook func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc)) (nfsRun, error) {
 
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(nodes+1))
@@ -35,30 +45,40 @@ func nfsMakeFilesRun(seed int64, nodes int, window time.Duration,
 	if hook != nil {
 		r.BenchStartHook = func(mp *sim.Proc, _ core.MeasurementInfo) { hook(cl, fsys, mp) }
 	}
-	set, err := r.Run()
+	set, err := runSet(r)
 	if err != nil {
-		return nil, nil
+		return nfsRun{}, err
 	}
-	return set.Find("MakeFiles", nodes, 1), set
-}
-
-// nfsRun is one nfsMakeFilesRun cell's result. Every disturbance
-// experiment pairs a clean cell with a disturbed cell; the two runs
-// share a seed but nothing else, so they fan out independently.
-type nfsRun struct {
-	m   *results.Measurement
-	set *results.Set
+	return nfsRun{set.Find("MakeFiles", nodes, 1), set}, nil
 }
 
 // nfsCells runs one nfsMakeFilesRun per hook (nil hook = clean run) as
 // parallel cells, all with the same seed, nodes and window.
 func nfsCells(expID string, seed int64, nodes int, window time.Duration,
-	names []string, hooks []func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc)) []nfsRun {
+	names []string, hooks []func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc)) ([]nfsRun, error) {
 
-	return parCells(expID, names, func(i int) nfsRun {
-		m, set := nfsMakeFilesRun(seed, nodes, window, hooks[i])
-		return nfsRun{m, set}
+	return parCells(expID, names, func(i int) (nfsRun, error) {
+		return nfsMakeFilesRun(seed, nodes, window, hooks[i])
 	})
+}
+
+// bulkWrite creates name, writes 200 MB to it and removes it again; the
+// close flushes the data and occupies the filer for seconds.
+func bulkWrite(c fs.Client, name string) error {
+	if err := c.Create(name); err != nil {
+		return err
+	}
+	h, err := c.Open(name)
+	if err != nil {
+		return err
+	}
+	if err := c.Write(h, 200<<20); err != nil {
+		return err
+	}
+	if err := c.Close(h); err != nil {
+		return err
+	}
+	return c.Unlink(name)
 }
 
 // E03CPUHogCOV reproduces Fig. 4.4: a CPU-bound disturbance on one of
@@ -70,18 +90,17 @@ func E03CPUHogCOV() *Report {
 	const window = 30 * time.Second
 	hogFrom, hogTo := 10*time.Second, 16*time.Second
 
-	runs := nfsCells("E03", 101, 4, window, []string{"clean", "hogged"},
+	runs, err := nfsCells("E03", 101, 4, window, []string{"clean", "hogged"},
 		[]func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc){
 			nil,
 			func(cl *cluster.Cluster, _ *nfs.FS, mp *sim.Proc) {
 				cl.Nodes[2].StartCPUHog(24, 0, mp.Now()+hogFrom, hogTo-hogFrom)
 			},
 		})
-	clean, hogged, set := runs[0].m, runs[1].m, runs[1].set
-	if clean == nil || hogged == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
+	clean, hogged, set := runs[0].m, runs[1].m, runs[1].set
 	r.Sets = append(r.Sets, set)
 
 	before := windowThroughput(hogged, 2*time.Second, hogFrom)
@@ -110,7 +129,7 @@ func E04SnapshotNoise() *Report {
 	const window = 30 * time.Second
 	snapAt, snapLen := 9*time.Second, 10*time.Second
 
-	runs := nfsCells("E04", 202, 4, window, []string{"clean", "snapshots"},
+	runs, err := nfsCells("E04", 202, 4, window, []string{"clean", "snapshots"},
 		[]func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc){
 			nil,
 			func(_ *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc) {
@@ -120,11 +139,10 @@ func E04SnapshotNoise() *Report {
 				})
 			},
 		})
-	clean, snappy, set := runs[0].m, runs[1].m, runs[1].set
-	if clean == nil || snappy == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
+	clean, snappy, set := runs[0].m, runs[1].m, runs[1].set
 	r.Sets = append(r.Sets, set)
 
 	baseline := windowThroughput(snappy, 2*time.Second, snapAt)
@@ -154,7 +172,7 @@ func E05ConsistencyPoints() *Report {
 	// cps is written only by the clean cell; parCells has joined every
 	// cell before it is read below.
 	var cps int
-	runs := nfsCells("E05", 303, 20, window, []string{"clean", "hogged"},
+	runs, err := nfsCells("E05", 303, 20, window, []string{"clean", "hogged"},
 		[]func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc){
 			func(_ *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc) {
 				mp.Spawn("cp-counter", func(p *sim.Proc) {
@@ -166,11 +184,10 @@ func E05ConsistencyPoints() *Report {
 				cl.Nodes[5].StartCPUHog(24, 0, mp.Now()+4*time.Second, 6*time.Second)
 			},
 		})
-	clean, hogged, set := runs[0].m, runs[1].m, runs[0].set
-	if clean == nil || hogged == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
+	clean, hogged, set := runs[0].m, runs[1].m, runs[0].set
 	r.Sets = append(r.Sets, set)
 
 	// Sawtooth: peak vs trough of interval throughput after warmup.
@@ -213,7 +230,8 @@ func E06WriteInterference() *Report {
 		PaperRef: "Fig. 4.7"}
 	const window = 20 * time.Second
 
-	runs := nfsCells("E06", 404, 20, window, []string{"clean", "bulk-write"},
+	var werr error // written by the bulk writer in the disturbed cell only
+	runs, err := nfsCells("E06", 404, 20, window, []string{"clean", "bulk-write"},
 		[]func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc){
 			nil,
 			func(cl *cluster.Cluster, fsys *nfs.FS, mp *sim.Proc) {
@@ -224,26 +242,17 @@ func E06WriteInterference() *Report {
 						if d := at - p.Now(); d > 0 {
 							p.Sleep(d)
 						}
-						name := "/bigfile" + string(rune('a'+i))
-						if err := c.Create(name); err != nil {
+						if werr = bulkWrite(c, "/bigfile"+string(rune('a'+i))); werr != nil {
 							return
 						}
-						h, err := c.Open(name)
-						if err != nil {
-							return
-						}
-						c.Write(h, 200<<20)
-						c.Close(h) // flush: occupies the filer for seconds
-						c.Unlink(name)
 					}
 				})
 			},
 		})
-	clean, disturbed, set := runs[0].m, runs[1].m, runs[1].set
-	if clean == nil || disturbed == nil {
-		r.finding("run failed")
-		return r
+	if err = cmp.Or(err, werr); err != nil {
+		return r.fail(err)
 	}
+	clean, disturbed, set := runs[0].m, runs[1].m, runs[1].set
 	r.Sets = append(r.Sets, set)
 
 	base := windowThroughput(disturbed, 1*time.Second, 5*time.Second)

@@ -79,6 +79,9 @@ type Report struct {
 	// with a placeholder so regeneration is byte-stable across machines
 	// (the CI docs job diffs it).
 	Volatile bool
+	// Err is set when the experiment failed; its rows are then
+	// incomplete and its one finding says so.
+	Err error
 }
 
 func (r *Report) row(name string, value float64, unit, note string) {
@@ -87,6 +90,14 @@ func (r *Report) row(name string, value float64, unit, note string) {
 
 func (r *Report) finding(format string, args ...interface{}) {
 	r.Findings = append(r.Findings, fmt.Sprintf(format, args...))
+}
+
+// fail records err as the outcome of the experiment: it sets Err and
+// replaces the findings with the single "run failed" line.
+func (r *Report) fail(err error) *Report {
+	r.Err = err
+	r.Findings = []string{fmt.Sprintf("run failed: %v", err)}
+	return r
 }
 
 // FormatValue renders a row value the way every report prints it: one

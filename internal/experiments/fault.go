@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -22,37 +23,6 @@ import (
 // performance together. E19 shows the failure in the timeline, E20
 // prices the replication that bounds it, and E21 scales the recovery
 // itself.
-
-// shardTimedRun executes a timed MakeFiles run on a sharded FS (8 nodes
-// x 2 processes) with an optional bench-start hook, returning the
-// measurement, the set and the FS for counter readout.
-func shardTimedRun(seed int64, cfg shard.Config, window time.Duration,
-	hook func(fsys *shard.FS, mp *sim.Proc)) (*results.Measurement, *results.Set, *shard.FS) {
-
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(8))
-	fsys := newShardFS(k, "meta", cfg)
-	r := &core.Runner{
-		Cluster: cl,
-		FS:      fsys,
-		Params: core.Params{
-			ProblemSize: 1000,
-			TimeLimit:   window,
-			WorkDir:     "/bench",
-		},
-		SlotsPerNode: 2,
-		Plugins:      []core.Plugin{core.MakeFiles{}},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 2 },
-	}
-	if hook != nil {
-		r.BenchStartHook = func(mp *sim.Proc, _ core.MeasurementInfo) { hook(fsys, mp) }
-	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, nil, fsys
-	}
-	return set.Find("MakeFiles", 8, 2), set, fsys
-}
 
 // outageSeconds sums the sampling intervals between from and to whose
 // throughput fell below frac of baseline — the measured service-outage
@@ -84,33 +54,34 @@ func E19FailoverTimeline() *Report {
 	)
 	plan := (&fault.Plan{}).Outage(crashAt, restartAt, 0)
 	if err := plan.Validate(); err != nil {
-		r.finding("bad plan: %v", err)
-		return r
-	}
-	run := func(seed int64, replicate bool) (*results.Measurement, *results.Set, *shard.FS) {
-		cfg := shard.DefaultConfig(2)
-		cfg.Replicate = replicate
-		return shardTimedRun(seed, cfg, window, func(fsys *shard.FS, mp *sim.Proc) {
-			plan.Start(mp, fsys)
-		})
+		return r.fail(err)
 	}
 	// Two cells: the unreplicated and the replicated run, each with its
-	// own kernel and fault-plan instance.
+	// own kernel and fault-plan instance: a timed MakeFiles run on 8
+	// nodes x 2 processes.
+	load := shardRun{nodes: 8, ppn: 2, dir: "/bench", plugin: core.MakeFiles{},
+		problem: 1000, window: window,
+		hook: func(fsys *shard.FS, mp *sim.Proc) { plan.Start(mp, fsys) }}
 	type e19cell struct {
 		m   *results.Measurement
 		set *results.Set
 		fs  *shard.FS
 	}
-	cells := parCells("E19", []string{"single", "replicated"}, func(i int) e19cell {
-		m, set, fsys := run(int64(1900+i), i == 1)
-		return e19cell{m, set, fsys}
+	cells, err := parCells("E19", []string{"single", "replicated"}, func(i int) (c e19cell, err error) {
+		cfg := shard.DefaultConfig(2)
+		cfg.Replicate = i == 1
+		c.set, c.fs, err = load.run(int64(1900+i), cfg)
+		if err != nil {
+			return c, err
+		}
+		c.m = load.find(c.set)
+		return c, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	single, sset := cells[0].m, cells[0].set
 	repl, rset, rfs := cells[1].m, cells[1].set, cells[1].fs
-	if single == nil || repl == nil {
-		r.finding("run failed")
-		return r
-	}
 	r.Sets = append(r.Sets, sset, rset)
 
 	base := windowThroughput(single, 2*time.Second, crashAt)
@@ -159,7 +130,7 @@ func E19FailoverTimeline() *Report {
 func E20ReplicationOverhead() *Report {
 	r := &Report{ID: "E20", Title: "Replication overhead: creates/s with and without a synchronous backup",
 		PaperRef: "beyond §4.3 (cost of HopsFS-style availability)"}
-	plugin := e16Workload(0)
+	load := wideRun(e16Workload(0), 400)
 	shardCounts := []int{2, 4, 8}
 	// One cell per (shard count, replication) pair — 6 independent runs.
 	type e20cell struct {
@@ -171,22 +142,21 @@ func E20ReplicationOverhead() *Report {
 	for _, n := range shardCounts {
 		names = append(names, fmt.Sprintf("%dshards-plain", n), fmt.Sprintf("%dshards-repl", n))
 	}
-	cells := parCells("E20", names, func(i int) e20cell {
+	cells, err := parCells("E20", names, func(i int) (e20cell, error) {
 		cfg := shard.DefaultConfig(shardCounts[i/2])
 		cfg.Replicate = i%2 == 1
-		set, fsys := runSharded(2000, cfg, plugin, 400)
-		if set == nil {
-			return e20cell{}
+		set, fsys, err := load.run(2000, cfg)
+		if err != nil {
+			return e20cell{}, err
 		}
-		return e20cell{set: set, rate: wallOf(set, plugin.Name(), 16, 4), mirrors: fsys.MirrorCount}
+		return e20cell{set: set, rate: load.rate(set), mirrors: fsys.MirrorCount}, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, plainY, replY []float64
 	for i, n := range shardCounts {
 		plain, repl := cells[2*i], cells[2*i+1]
-		if plain.set == nil || repl.set == nil {
-			r.finding("run failed at %d shards", n)
-			return r
-		}
 		r.Sets = append(r.Sets, plain.set, repl.set)
 		xs = append(xs, float64(n))
 		plainY = append(plainY, plain.rate)
@@ -219,7 +189,12 @@ func E20ReplicationOverhead() *Report {
 func E21RecoveryScaling() *Report {
 	r := &Report{ID: "E21", Title: "Recovery-time scaling: takeover latency vs. journal length",
 		PaperRef: "beyond §4.8 (journal replay on failover)"}
-	probe := func(files int) (shard.Takeover, time.Duration, bool) {
+	// One probe cell per journal length.
+	type e21cell struct {
+		to       shard.Takeover
+		observed time.Duration
+	}
+	probe := func(files int) (c e21cell, err error) {
 		cfg := shard.DefaultConfig(2)
 		cfg.Replicate = true
 		cfg.JournalCap = 1 << 20                   // uncapped for the sweep: the journal is the variable
@@ -236,56 +211,52 @@ func E21RecoveryScaling() *Report {
 				break
 			}
 		}
-		var observed time.Duration
-		ok := false
-		k.Spawn("probe", func(p *sim.Proc) {
-			c := fsys.NewClient(cl.Nodes[0], p)
-			if dir == "" || c.Mkdir(dir) != nil {
-				return
+		if dir == "" {
+			return c, errors.New("no directory on shard 0")
+		}
+		err = runProc(k, "probe", func(p *sim.Proc) error {
+			client := fsys.NewClient(cl.Nodes[0], p)
+			if err := client.Mkdir(dir); err != nil {
+				return err
 			}
 			for i := 0; i < files; i++ {
-				if c.Create(fmt.Sprintf("%s/f%d", dir, i)) != nil {
-					return
+				if err := client.Create(fmt.Sprintf("%s/f%d", dir, i)); err != nil {
+					return err
 				}
 			}
 			fsys.Crash(p, 0)
 			start := p.Now()
-			if c.Create(dir+"/after-crash") != nil {
-				return
+			if err := client.Create(dir + "/after-crash"); err != nil {
+				return err
 			}
-			observed = p.Now() - start
-			ok = true
+			c.observed = p.Now() - start
+			return nil
 		})
-		if err := k.Run(); err != nil || !ok || len(fsys.Takeovers) != 1 {
-			return shard.Takeover{}, 0, false
+		if err != nil {
+			return c, err
 		}
-		return fsys.Takeovers[0], observed, true
+		if len(fsys.Takeovers) != 1 {
+			return c, fmt.Errorf("%d takeovers, want 1", len(fsys.Takeovers))
+		}
+		c.to = fsys.Takeovers[0]
+		return c, nil
 	}
-
-	// One probe cell per journal length.
 	fileCounts := []int{0, 1000, 4000, 16000}
-	type e21cell struct {
-		to       shard.Takeover
-		observed time.Duration
-		ok       bool
-	}
 	names := make([]string, len(fileCounts))
 	for i, files := range fileCounts {
 		names[i] = fmt.Sprintf("%dfiles", files)
 	}
-	cells := parCells("E21", names, func(i int) e21cell {
-		to, observed, ok := probe(fileCounts[i])
-		return e21cell{to, observed, ok}
+	cells, err := parCells("E21", names, func(i int) (e21cell, error) {
+		return probe(fileCounts[i])
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 
 	var xs, ys []float64
 	var floor, top time.Duration
 	for i, files := range fileCounts {
-		to, observed, ok := cells[i].to, cells[i].observed, cells[i].ok
-		if !ok {
-			r.finding("probe failed at %d files", files)
-			return r
-		}
+		to, observed := cells[i].to, cells[i].observed
 		if files == 0 {
 			floor = to.Total()
 		}

@@ -22,46 +22,25 @@ var e12Latencies = []time.Duration{
 }
 
 // singleProcWall runs one plugin at 1 node x 1 process and returns the
-// wall-clock throughput (robust for sub-interval runs).
-func singleProcWall(mk func(k *sim.Kernel) core.FileSystem, plugin core.Plugin, problem int, seed int64) float64 {
+// wall-clock throughput (robust for sub-interval runs). A timed run
+// (params.TimeLimit) amortizes per-run constants, like the one
+// synchronous mkdir at bench start, that would otherwise dominate very
+// fast cached operations.
+func singleProcWall(mk func(k *sim.Kernel) core.FileSystem, plugin core.Plugin, params core.Params, seed int64) (float64, error) {
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(1))
-	r := &core.Runner{
+	params.WorkDir = "/bench"
+	set, err := runSet(&core.Runner{
 		Cluster:      cl,
 		FS:           mk(k),
-		Params:       core.Params{ProblemSize: problem, WorkDir: "/bench"},
+		Params:       params,
 		SlotsPerNode: 1,
 		Plugins:      []core.Plugin{plugin},
-	}
-	set, err := r.Run()
+	})
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	return wallOf(set, plugin.Name(), 1, 1)
-}
-
-// singleProcTimed runs a timed 1x1 measurement, which amortizes per-run
-// constants (like the one synchronous mkdir at bench start) that would
-// otherwise dominate very fast cached operations.
-func singleProcTimed(mk func(k *sim.Kernel) core.FileSystem, plugin core.Plugin, window time.Duration, seed int64) float64 {
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(1))
-	r := &core.Runner{
-		Cluster: cl,
-		FS:      mk(k),
-		Params: core.Params{
-			ProblemSize: 1 << 20, // no subdirectory rotation inside the window
-			TimeLimit:   window,
-			WorkDir:     "/bench",
-		},
-		SlotsPerNode: 1,
-		Plugins:      []core.Plugin{plugin},
-	}
-	set, err := r.Run()
-	if err != nil {
-		return 0
-	}
-	return wallOf(set, plugin.Name(), 1, 1)
+	return wallOf(set, plugin.Name(), 1, 1), nil
 }
 
 // E12LatencySweep reproduces §4.6: synchronous metadata operations
@@ -82,7 +61,7 @@ func E12LatencySweep() *Report {
 			fmt.Sprintf("rtt%.1fms-nfs-statnc", rtt),
 			fmt.Sprintf("rtt%.1fms-wb-create", rtt))
 	}
-	vals := parCells("E12", names, func(i int) float64 {
+	vals, err := parCells("E12", names, func(i int) (float64, error) {
 		lat := e12Latencies[i/perLat]
 		seed := int64(1200 + 10*(i/perLat))
 		nfsMk := func(k *sim.Kernel) core.FileSystem {
@@ -92,18 +71,24 @@ func E12LatencySweep() *Report {
 		}
 		switch i % perLat {
 		case 0:
-			return singleProcWall(nfsMk, core.MakeFiles{}, 500, seed)
+			return singleProcWall(nfsMk, core.MakeFiles{}, core.Params{ProblemSize: 500}, seed)
 		case 1:
-			return singleProcWall(nfsMk, core.StatNocacheFiles{}, 500, seed+1)
+			return singleProcWall(nfsMk, core.StatNocacheFiles{}, core.Params{ProblemSize: 500}, seed+1)
 		default:
-			return singleProcTimed(func(k *sim.Kernel) core.FileSystem {
+			return singleProcWall(func(k *sim.Kernel) core.FileSystem {
 				cfg := lustre.DefaultConfig()
 				cfg.OneWayLatency = lat
 				cfg.Writeback = true
 				return newLustreFS(k, "scratch", cfg)
-			}, core.MakeFiles{}, time.Second, seed+2)
+			}, core.MakeFiles{}, core.Params{
+				ProblemSize: 1 << 20, // no subdirectory rotation inside the window
+				TimeLimit:   time.Second,
+			}, seed+2)
 		}
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, nfsCreate, nfsStatNC, wbCreate []float64
 	for i, lat := range e12Latencies {
 		rtt := (2 * lat).Seconds() * 1000
@@ -116,13 +101,11 @@ func E12LatencySweep() *Report {
 		r.row(fmt.Sprintf("RTT %.1fms: NFS stat (no cache)", rtt), s, "ops/s", "")
 		r.row(fmt.Sprintf("RTT %.1fms: write-back creates", rtt), w, "ops/s", "")
 	}
-	if nfsCreate[0] > 0 && wbCreate[len(wbCreate)-1] > 0 {
-		nfsDrop := nfsCreate[0] / nfsCreate[len(nfsCreate)-1]
-		wbDrop := wbCreate[0] / wbCreate[len(wbCreate)-1]
-		r.finding("paper: synchronous metadata rates fall with added latency "+
-			"while caching hides it; here 50x more RTT costs NFS creates %.1fx "+
-			"and write-back creates only %.1fx", nfsDrop, wbDrop)
-	}
+	nfsDrop := nfsCreate[0] / nfsCreate[len(nfsCreate)-1]
+	wbDrop := wbCreate[0] / wbCreate[len(wbCreate)-1]
+	r.finding("paper: synchronous metadata rates fall with added latency "+
+		"while caching hides it; here 50x more RTT costs NFS creates %.1fx "+
+		"and write-back creates only %.1fx", nfsDrop, wbDrop)
 	r.Charts = append(r.Charts, charts.Render(
 		"Throughput vs network RTT", "RTT ms", "ops/s", chartW, chartH,
 		[]charts.Series{

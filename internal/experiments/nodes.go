@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -35,15 +36,16 @@ func E10PriorityScheduling() *Report {
 		total      int64
 		during     int64
 		atHogStart int64
+		err        error
 	}
 	run := func(name string, nice int, out *res) {
 		k.Spawn(name, func(p *sim.Proc) {
 			c := fsys.NewClient(node, p)
-			if err := c.Create("/" + name); err != nil {
+			if out.err = c.Create("/" + name); out.err != nil {
 				return
 			}
 			for p.Now() < window {
-				if _, err := c.Stat("/" + name); err != nil {
+				if _, out.err = c.Stat("/" + name); out.err != nil {
 					return
 				}
 				node.ExecNice(p, 2*time.Microsecond, nice)
@@ -60,9 +62,9 @@ func E10PriorityScheduling() *Report {
 	var hi, lo res
 	run("nice0", 0, &hi)
 	run("nice10", 10, &lo)
-	if err := k.Run(); err != nil {
-		r.finding("run failed: %v", err)
-		return r
+	kerr := k.Run()
+	if err := cmp.Or(kerr, hi.err, lo.err); err != nil {
+		return r.fail(err)
 	}
 	hogSecs := (hogTo - hogFrom).Seconds()
 	r.row("nice 0 total ops", float64(hi.total), "ops", "6s window")
@@ -83,7 +85,7 @@ var e11PPNs = map[int]bool{1: true, 2: true, 4: true, 8: true, 16: true, 32: tru
 
 // runSMP sweeps intra-node process counts with one cell per PPN point,
 // each on its own identically-seeded kernel (core.ParallelRunner).
-func runSMP(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) *results.Set {
+func runSMP(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) (*results.Set, error) {
 	pr := &core.ParallelRunner{
 		New: func(k *sim.Kernel) *core.Runner {
 			return &core.Runner{
@@ -100,11 +102,7 @@ func runSMP(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) *r
 		Seed:  seed,
 		Label: label,
 	}
-	set, err := pr.Run()
-	if err != nil {
-		return nil
-	}
-	return set
+	return runSet(pr)
 }
 
 // E11SMPScaling reproduces §4.5.3: file creation on a large SMP partition
@@ -113,7 +111,7 @@ func runSMP(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) *r
 func E11SMPScaling() *Report {
 	r := &Report{ID: "E11", Title: "Large-SMP intra-node scaling: CXFS vs NFS",
 		PaperRef: "§4.5.3"}
-	sets := parCells("E11", []string{"nfs", "cxfs"}, func(i int) *results.Set {
+	sets, err := parCells("E11", []string{"nfs", "cxfs"}, func(i int) (*results.Set, error) {
 		if i == 0 {
 			return runSMP(func(k *sim.Kernel) core.FileSystem {
 				return newNFSFS(k, "home", nfs.DefaultConfig())
@@ -123,11 +121,10 @@ func E11SMPScaling() *Report {
 			return cxfs.New(k, "cxfs", cxfs.DefaultConfig())
 		}, 1112, "E11/cxfs")
 	})
-	nfsSet, cxSet := sets[0], sets[1]
-	if nfsSet == nil || cxSet == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
+	nfsSet, cxSet := sets[0], sets[1]
 	r.Sets = append(r.Sets, nfsSet, cxSet)
 	for _, ppn := range []int{1, 8, 32} {
 		r.row(fmt.Sprintf("NFS creates/s @ ppn %d", ppn), stoneOf(nfsSet, "MakeFiles", 1, ppn), "ops/s", "")

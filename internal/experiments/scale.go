@@ -77,7 +77,6 @@ type stageCell struct {
 	revokes int64
 	stale   int64
 	caps    shard.CapacityStats
-	err     string
 }
 
 // sheddedFrac is the fraction of background arrivals dropped by the
@@ -94,7 +93,7 @@ func (c *stageCell) shedFrac() float64 {
 // background attached and drives the staged probes over it. Everything
 // stochastic is seeded from spec.seed, so a cell is a pure function of
 // its spec — the byte-identity unit of the E31–E33 determinism tests.
-func runStageCell(sp stageSpec) stageCell {
+func runStageCell(sp stageSpec) (stageCell, error) {
 	k := sim.New(sp.seed)
 	cl := cluster.New(k, cluster.DefaultConfig(4))
 	fsys := newShardFS(k, "meta", sp.cfg)
@@ -147,23 +146,19 @@ func runStageCell(sp stageSpec) stageCell {
 			return ops
 		},
 	}
-	set, err := r.Run()
-	c := stageCell{set: set}
+	set, err := runSet(r)
 	if err != nil {
-		c.err = err.Error()
-		return c
+		return stageCell{}, err
 	}
+	c := stageCell{set: set}
 	c.aggOps, c.aggShed, c.aggBusy = fsys.AggCounts()
 	c.grants, c.revokes, c.stale = fsys.LeaseGrants, fsys.Revocations, fsys.StaleReads
 	c.caps = fsys.CapacityStats()
-	return c
+	return c, nil
 }
 
 // stageMeasurement returns the cell's measurement for a stage name.
 func (c *stageCell) stageMeasurement(name string) *results.Measurement {
-	if c.set == nil {
-		return nil
-	}
 	for _, m := range c.set.Measurements {
 		if m.Op == name {
 			return m
@@ -215,26 +210,24 @@ func E31AggregateDay() *Report {
 			label:        "E31-" + label,
 		}
 	}
-	cells := parCells("E31", []string{"diurnal", "flash"}, func(i int) stageCell {
+	cells, err := parCells("E31", []string{"diurnal", "flash"}, func(i int) (stageCell, error) {
 		if i == 0 {
 			return runStageCell(mk(3101, false, "diurnal"))
 		}
 		return runStageCell(mk(3102, true, "flash"))
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	names := []string{"diurnal", "diurnal+flash"}
 	var series []charts.Series
 	for i := range cells {
 		c := &cells[i]
-		if c.err != "" || c.set == nil {
-			r.finding("cell %s failed: %s", names[i], c.err)
-			return r
-		}
 		r.Sets = append(r.Sets, c.set)
 		m := c.stageMeasurement("day")
 		w, ok := m.Window(0, period)
 		if !ok {
-			r.finding("cell %s produced no intervals", names[i])
-			return r
+			return r.fail(fmt.Errorf("%s: no intervals", names[i]))
 		}
 		r.row(fmt.Sprintf("%-14s mean background", names[i]), w.MeanAuxRate/1000,
 			"kops/s", fmt.Sprintf("%d clients", clients))
@@ -333,7 +326,7 @@ func E32ForegroundTail() *Report {
 	interval := stageInterval(period, 60)
 	pops := []int{10_000, 100_000, 1_000_000}
 	names := []string{"10k", "100k", "1M"}
-	cells := parCells("E32", names, func(i int) stageCell {
+	cells, err := parCells("E32", names, func(i int) (stageCell, error) {
 		cfg := shard.DefaultConfig(8)
 		cfg.CacheMode = shard.CacheLease
 		cfg.TrackStaleness = true
@@ -354,13 +347,12 @@ func E32ForegroundTail() *Report {
 			label:   "E32-" + names[i],
 		})
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var p99s []float64
 	for i := range cells {
 		c := &cells[i]
-		if c.err != "" || c.set == nil {
-			r.finding("cell %s failed: %s", names[i], c.err)
-			return r
-		}
 		r.Sets = append(r.Sets, c.set)
 		priv, sh := c.stageMeasurement("private"), c.stageMeasurement("shared")
 		p99 := probeP99(sh)
@@ -375,13 +367,11 @@ func E32ForegroundTail() *Report {
 		r.row(fmt.Sprintf("%-5s clients  shed fraction", names[i]),
 			100*c.shedFrac(), "%", "")
 	}
-	if len(p99s) == 3 && p99s[0] > 0 {
-		r.finding("the foreground tail is priced by the crowd it shares the "+
-			"pool with: shared-directory p99 grows %.1fx as the background "+
-			"population sweeps 10k -> 1M (%.0f -> %.0f us), while the lease "+
-			"protocol itself stays population-independent",
-			p99s[2]/p99s[0], p99s[0], p99s[2])
-	}
+	r.finding("the foreground tail is priced by the crowd it shares the "+
+		"pool with: shared-directory p99 grows %.1fx as the background "+
+		"population sweeps 10k -> 1M (%.0f -> %.0f us), while the lease "+
+		"protocol itself stays population-independent",
+		p99s[2]/p99s[0], p99s[0], p99s[2])
 	return r
 }
 
@@ -414,7 +404,7 @@ func E33CapacityPressure() *Report {
 		_, err := c.FS.Stat(e32SharedFile(c.Rank, i%8))
 		return err
 	}
-	cells := parCells("E33", names, func(i int) stageCell {
+	cells, err := parCells("E33", names, func(i int) (stageCell, error) {
 		cfg := shard.DefaultConfig(8)
 		cfg.CacheMode = shard.CacheLease
 		cfg.SplitThreshold = 512
@@ -432,12 +422,11 @@ func E33CapacityPressure() *Report {
 			label:        "E33-" + names[i],
 		})
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	for i := range cells {
 		c := &cells[i]
-		if c.err != "" || c.set == nil {
-			r.finding("cell %s failed: %s", names[i], c.err)
-			return r
-		}
 		r.Sets = append(r.Sets, c.set)
 		st := c.caps
 		clientEntries := st.ClientAttrs + st.ClientDentries + st.ClientLeases +

@@ -21,7 +21,7 @@ var e07Nodes = map[int]bool{1: true, 2: true, 4: true, 8: true, 12: true, 16: tr
 // (nodes, ppn) point: every cell gets a fresh, identically-seeded
 // kernel (core.ParallelRunner), so sweep points are independent and
 // fan out across the worker pool.
-func runCreateScaling(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) *results.Set {
+func runCreateScaling(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) (*results.Set, error) {
 	pr := &core.ParallelRunner{
 		New: func(k *sim.Kernel) *core.Runner {
 			return &core.Runner{
@@ -41,11 +41,7 @@ func runCreateScaling(mk func(k *sim.Kernel) core.FileSystem, seed int64, label 
 		Seed:  seed,
 		Label: label,
 	}
-	set, err := pr.Run()
-	if err != nil {
-		return nil
-	}
-	return set
+	return runSet(pr)
 }
 
 // E07CreateScaling reproduces §4.3.2: file creation scaling of NFS vs
@@ -56,7 +52,7 @@ func E07CreateScaling() *Report {
 		PaperRef: "§4.3.2"}
 	// Two nested fan-outs (one per file system), 8 sweep cells each; the
 	// pool interleaves all 16 cells freely.
-	sets := parCells("E07", []string{"nfs", "lustre"}, func(i int) *results.Set {
+	sets, err := parCells("E07", []string{"nfs", "lustre"}, func(i int) (*results.Set, error) {
 		if i == 0 {
 			return runCreateScaling(func(k *sim.Kernel) core.FileSystem {
 				return newNFSFS(k, "home", nfs.DefaultConfig())
@@ -66,11 +62,10 @@ func E07CreateScaling() *Report {
 			return newLustreFS(k, "scratch", lustre.DefaultConfig())
 		}, 708, "E07/lustre")
 	})
-	nfsSet, lusSet := sets[0], sets[1]
-	if nfsSet == nil || lusSet == nil {
-		r.finding("run failed")
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
+	nfsSet, lusSet := sets[0], sets[1]
 	r.Sets = append(r.Sets, nfsSet, lusSet)
 	for _, n := range []int{1, 4, 16} {
 		r.row(fmt.Sprintf("NFS creates/s @ %d nodes x1", n), stoneOf(nfsSet, "MakeFiles", n, 1), "ops/s", "")
@@ -96,34 +91,32 @@ func E07CreateScaling() *Report {
 func prefillRate(mk func(k *sim.Kernel) interface {
 	core.FileSystem
 	Namespace() *namespace.Namespace
-}, prefill, probe int) float64 {
+}, prefill, probe int) (float64, error) {
 	k := sim.New(int64(9000 + prefill))
 	cl := cluster.New(k, cluster.DefaultConfig(1))
 	fsys := mk(k)
 	ns := fsys.Namespace()
 	if _, err := ns.Mkdir("/big", 0o755, 0); err != nil {
-		return 0
+		return 0, err
 	}
 	for i := 0; i < prefill; i++ {
 		if _, err := ns.Create(fmt.Sprintf("/big/pre%d", i), 0o644, 0); err != nil {
-			return 0
+			return 0, err
 		}
 	}
 	var rate float64
-	k.Spawn("probe", func(p *sim.Proc) {
+	err := runProc(k, "probe", func(p *sim.Proc) error {
 		c := fsys.NewClient(cl.Nodes[0], p)
 		start := p.Now()
 		for i := 0; i < probe; i++ {
 			if err := c.Create(fmt.Sprintf("/big/new%d", i)); err != nil {
-				return
+				return err
 			}
 		}
 		rate = float64(probe) / (p.Now() - start).Seconds()
+		return nil
 	})
-	if err := k.Run(); err != nil {
-		return 0
-	}
-	return rate
+	return rate, err
 }
 
 // E08LargeDirectories reproduces §4.3.3: sequential create rates degrade
@@ -168,7 +161,7 @@ func E08LargeDirectories() *Report {
 	// Parallel part: shared directory vs per-process directories on
 	// Lustre, 8 nodes x 1 process. Self-contained (own kernel, seed 881)
 	// so it runs as a cell alongside the prefill sweep.
-	sharedVsOwn := func(plugin core.Plugin, problem int) float64 {
+	sharedVsOwn := func(plugin core.Plugin, problem int) (float64, error) {
 		k := sim.New(881)
 		cl := cluster.New(k, cluster.DefaultConfig(8))
 		fsys := newLustreFS(k, "scratch", lustre.DefaultConfig())
@@ -180,11 +173,11 @@ func E08LargeDirectories() *Report {
 			Plugins:      []core.Plugin{plugin},
 			Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 1 },
 		}
-		set, err := run.Run()
+		set, err := runSet(run)
 		if err != nil {
-			return 0
+			return 0, err
 		}
-		return stoneOf(set, plugin.Name(), 8, 1)
+		return stoneOf(set, plugin.Name(), 8, 1), nil
 	}
 
 	// One cell per (variant, size) prefill probe plus the two
@@ -197,7 +190,7 @@ func E08LargeDirectories() *Report {
 		}
 	}
 	names = append(names, "shared-dir", "own-dirs")
-	vals := parCells("E08", names, func(i int) float64 {
+	vals, err := parCells("E08", names, func(i int) (float64, error) {
 		switch {
 		case i < nProbe:
 			return prefillRate(variants[i/len(sizes)].mk, sizes[i%len(sizes)], probe)
@@ -207,6 +200,9 @@ func E08LargeDirectories() *Report {
 			return sharedVsOwn(core.MakeFiles{}, 1000) // 1000 per proc, own dirs
 		}
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	rates := make(map[string][]float64)
 	for vi, v := range variants {
 		for si, s := range sizes {
@@ -217,20 +213,16 @@ func E08LargeDirectories() *Report {
 	}
 	lin := rates["NFS (linear dirs)"]
 	hash := rates["NFS/WAFL (hash dirs)"]
-	if len(lin) == 3 && len(hash) == 3 && lin[2] > 0 {
-		r.finding("paper: hashed/tree directory indexes keep large directories "+
-			"usable while linear scans collapse; here the linear variant loses "+
-			"%.0fx from 1k to 100k entries while the hash variant loses %.1f%%",
-			lin[0]/lin[2], 100*(1-hash[2]/hash[0]))
-	}
+	r.finding("paper: hashed/tree directory indexes keep large directories "+
+		"usable while linear scans collapse; here the linear variant loses "+
+		"%.0fx from 1k to 100k entries while the hash variant loses %.1f%%",
+		lin[0]/lin[2], 100*(1-hash[2]/hash[0]))
 
 	shared, own := vals[nProbe], vals[nProbe+1]
 	r.row("Lustre 8x1, one shared directory", shared, "ops/s", "MakeOnedirFiles")
 	r.row("Lustre 8x1, per-process directories", own, "ops/s", "MakeFiles")
-	if shared > 0 {
-		r.finding("paper: parallel creates in one directory serialize on the "+
-			"directory lock; here per-process directories are %.1fx faster", own/shared)
-	}
+	r.finding("paper: parallel creates in one directory serialize on the "+
+		"directory lock; here per-process directories are %.1fx faster", own/shared)
 	return r
 }
 
@@ -255,17 +247,12 @@ func E09AllocationBursts() *Report {
 		SlotsPerNode: 1,
 		Plugins:      []core.Plugin{core.MakeFiles{}},
 	}
-	set, err := run.Run()
+	set, err := runSet(run)
 	if err != nil {
-		r.finding("run failed: %v", err)
-		return r
+		return r.fail(err)
 	}
 	r.Sets = append(r.Sets, set)
 	m := set.Find("MakeFiles", 1, 1)
-	if m == nil {
-		r.finding("measurement missing")
-		return r
-	}
 	var sum, min float64
 	min = 1e18
 	var n int

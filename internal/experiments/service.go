@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -37,9 +38,6 @@ type grouper interface{ Group() *sim.DomainGroup }
 // trace/summary/series files — the byte-identity unit the determinism
 // rows of E34 compare in memory.
 func fingerprintSet(set *results.Set) string {
-	if set == nil {
-		return ""
-	}
 	var b strings.Builder
 	for _, m := range set.Measurements {
 		b.WriteString(m.TraceFileName() + "\n")
@@ -81,7 +79,6 @@ type e34Cell struct {
 	windows  int64
 	events   int64
 	headroom float64
-	err      string
 }
 
 // e34Workload drives the common foreground: 8 nodes x 4 processes
@@ -96,14 +93,14 @@ func e34Workload(k *sim.Kernel, fsys core.FileSystem) (*results.Set, error) {
 		Plugins:      []core.Plugin{core.MakeFiles{}, core.StatFiles{}},
 		Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 4 },
 	}
-	return r.Run()
+	return runSet(r)
 }
 
 // runE34Cell builds the model named by fs ("nfs" or "lustre") with the
 // given domain count, runs the workload and reads the group statistics.
 // workers sizes the OS-thread pool (0 = default) and must not change a
 // single reported byte.
-func runE34Cell(fsName string, domains, workers int) e34Cell {
+func runE34Cell(fsName string, domains, workers int) (e34Cell, error) {
 	k := sim.New(3400)
 	var fsys core.FileSystem
 	var grp grouper
@@ -124,14 +121,12 @@ func runE34Cell(fsName string, domains, workers int) e34Cell {
 		g.Workers = workers
 	}
 	set, err := e34Workload(k, fsys)
-	c := e34Cell{set: set}
 	if err != nil {
-		c.err = err.Error()
-		return c
+		return e34Cell{}, err
 	}
-	c.fp = fingerprintSet(set)
+	c := e34Cell{set: set, fp: fingerprintSet(set)}
 	c.windows, c.events, c.headroom = groupStats(g)
-	return c
+	return c, nil
 }
 
 // E34DomainedServers runs the NFS filer and the Lustre MDS/OSS complex
@@ -161,15 +156,14 @@ func E34DomainedServers() *Report {
 			names[i] = fmt.Sprintf("%s-dom-w%d", s.fs, s.workers)
 		}
 	}
-	cells := parCells("E34", names, func(i int) e34Cell {
+	cells, err := parCells("E34", names, func(i int) (e34Cell, error) {
 		s := specs[i]
 		return runE34Cell(s.fs, s.domains, s.workers)
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	for i := range cells {
-		if cells[i].err != "" {
-			r.finding("cell %s failed: %s", names[i], cells[i].err)
-			return r
-		}
 		r.Sets = append(r.Sets, cells[i].set)
 	}
 	for fi, fsName := range []string{"nfs", "lustre"} {
@@ -215,7 +209,6 @@ type e35Cell struct {
 	set     *results.Set
 	aggOps  int64
 	aggShed int64
-	err     string
 }
 
 func (c *e35Cell) shedFrac() float64 {
@@ -231,7 +224,7 @@ func (c *e35Cell) shedFrac() float64 {
 // thread pool, four fully-simulated probes measuring the foreground
 // tail. Domains is pinned to 2 (client domain + filer domain), so the
 // injector lanes run as daemons on the filer's own kernel.
-func runE35Cell(seed int64, clients int, period, interval time.Duration, label string) e35Cell {
+func runE35Cell(seed int64, clients int, period, interval time.Duration, label string) (e35Cell, error) {
 	k := sim.New(seed)
 	cl := cluster.New(k, cluster.DefaultConfig(4))
 	cfg := nfs.DefaultConfig()
@@ -270,14 +263,13 @@ func runE35Cell(seed int64, clients int, period, interval time.Duration, label s
 			return ops
 		},
 	}
-	set, err := r.Run()
-	c := e35Cell{set: set}
+	set, err := runSet(r)
 	if err != nil {
-		c.err = err.Error()
-		return c
+		return e35Cell{}, err
 	}
+	c := e35Cell{set: set}
 	c.aggOps, c.aggShed, _ = fsys.AggCounts()
-	return c
+	return c, nil
 }
 
 // E35FilerAtScale puts the paper's workhorse — one NFS filer — under a
@@ -294,26 +286,22 @@ func E35FilerAtScale() *Report {
 	period := periodOr(3 * time.Hour)
 	interval := stageInterval(period, 180)
 	const clients = 1_000_000
-	cells := parCells("E35", []string{"quiet", "loaded"}, func(i int) e35Cell {
+	cells, err := parCells("E35", []string{"quiet", "loaded"}, func(i int) (e35Cell, error) {
 		if i == 0 {
 			return runE35Cell(3501, 0, period, interval, "E35-quiet")
 		}
 		return runE35Cell(3502, clients, period, interval, "E35-loaded")
 	})
-	q, l := &cells[0], &cells[1]
-	for i, c := range cells {
-		if c.err != "" || c.set == nil {
-			r.finding("cell %d failed: %s", i, c.err)
-			return r
-		}
-		r.Sets = append(r.Sets, c.set)
+	if err != nil {
+		return r.fail(err)
 	}
+	q, l := &cells[0], &cells[1]
+	r.Sets = append(r.Sets, q.set, l.set)
 	qm, lm := q.set.Measurements[0], l.set.Measurements[0]
 	lw, ok := lm.Window(0, period)
 	qw, qok := qm.Window(0, period)
 	if !ok || !qok {
-		r.finding("day produced no intervals")
-		return r
+		return r.fail(errors.New("day produced no intervals"))
 	}
 	r.row("offered background", float64(clients)*0.1*0.5/1000, "kops/s",
 		fmt.Sprintf("%d clients x 0.1 ops/s x 50%% active", clients))

@@ -37,26 +37,53 @@ func e16SubtreeAssign(n int) map[string]int {
 	return m
 }
 
-// runSharded executes the shard workload on a 16-node x 4-process
-// cluster (64 workers: enough demand to oversubscribe a small shard
-// count) and returns the result set plus the FS for counter readout.
-func runSharded(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*results.Set, *shard.FS) {
+// shardRun is one Runner measurement on a sharded FS: nodes x ppn
+// workers running plugin in dir. A window times the run; a hook runs in
+// the master at bench start.
+type shardRun struct {
+	nodes, ppn int
+	dir        string
+	plugin     core.Plugin
+	problem    int
+	window     time.Duration
+	hook       func(fsys *shard.FS, mp *sim.Proc)
+}
+
+// wideRun is the 16-node x 4-process shape of the shard sweeps: 64
+// workers, enough demand to oversubscribe a small shard count.
+func wideRun(plugin core.Plugin, problem int) shardRun {
+	return shardRun{nodes: 16, ppn: 4, dir: "/", plugin: plugin, problem: problem}
+}
+
+// run executes the measurement on a fresh kernel and returns the result
+// set plus the FS for counter readout.
+func (sr shardRun) run(seed int64, cfg shard.Config) (*results.Set, *shard.FS, error) {
 	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(16))
+	cl := cluster.New(k, cluster.DefaultConfig(sr.nodes))
 	fsys := newShardFS(k, "meta", cfg)
 	r := &core.Runner{
 		Cluster:      cl,
 		FS:           fsys,
-		Params:       core.Params{ProblemSize: problem, WorkDir: "/"},
-		SlotsPerNode: 4,
-		Plugins:      []core.Plugin{plugin},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 16 && c.PPN == 4 },
+		Params:       core.Params{ProblemSize: sr.problem, TimeLimit: sr.window, WorkDir: sr.dir},
+		SlotsPerNode: sr.ppn,
+		Plugins:      []core.Plugin{sr.plugin},
+		Filter:       func(c core.Combo) bool { return c.Nodes == sr.nodes && c.PPN == sr.ppn },
 	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, fsys
+	if sr.hook != nil {
+		r.BenchStartHook = func(mp *sim.Proc, _ core.MeasurementInfo) { sr.hook(fsys, mp) }
 	}
-	return set, fsys
+	set, err := runSet(r)
+	return set, fsys, err
+}
+
+// find returns the run's measurement in set.
+func (sr shardRun) find(set *results.Set) *results.Measurement {
+	return set.Find(sr.plugin.Name(), sr.nodes, sr.ppn)
+}
+
+// rate returns the run's wall-clock throughput in set.
+func (sr shardRun) rate(set *results.Set) float64 {
+	return wallOf(set, sr.plugin.Name(), sr.nodes, sr.ppn)
 }
 
 // E16ShardScaling sweeps the shard count 1→16 under a fixed 32-process
@@ -67,7 +94,7 @@ func runSharded(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (
 func E16ShardScaling() *Report {
 	r := &Report{ID: "E16", Title: "Shard-count scaling of create throughput",
 		PaperRef: "beyond §4.3 (HopsFS/MetaFlow direction)"}
-	plugin := e16Workload(0)
+	load := wideRun(e16Workload(0), 500)
 	shardsSwept := []int{1, 2, 4, 8, 16}
 	// One cell per shard count. One seed for every sweep point: the only
 	// variable between cells is the shard count, not the storage service
@@ -81,22 +108,21 @@ func E16ShardScaling() *Report {
 	for i, n := range shardsSwept {
 		names[i] = fmt.Sprintf("%dshards", n)
 	}
-	cells := parCells("E16", names, func(i int) e16cell {
-		set, fsys := runSharded(1600, shard.DefaultConfig(shardsSwept[i]), plugin, 500)
-		if set == nil {
-			return e16cell{}
+	cells, err := parCells("E16", names, func(i int) (e16cell, error) {
+		set, fsys, err := load.run(1600, shard.DefaultConfig(shardsSwept[i]))
+		if err != nil {
+			return e16cell{}, err
 		}
-		return e16cell{set: set, rate: wallOf(set, plugin.Name(), 16, 4), cross: fsys.CrossCount}
+		return e16cell{set: set, rate: load.rate(set), cross: fsys.CrossCount}, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, ys []float64
 	var rates []float64
 	var crosses []int64
 	for i, n := range shardsSwept {
 		c := cells[i]
-		if c.set == nil {
-			r.finding("run failed at %d shards", n)
-			return r
-		}
 		r.Sets = append(r.Sets, c.set)
 		rates = append(rates, c.rate)
 		crosses = append(crosses, c.cross)
@@ -149,10 +175,11 @@ func E17ShardSkew() *Report {
 	}
 	// measure is one cell: it runs on its own kernel and touches nothing
 	// shared — sets are collected by the merge loop below, in cell order.
-	measure := func(p shard.Policy, skew float64, seed int64) cell {
-		set, fsys := runSharded(seed, mkCfg(p), e16Workload(skew), 400)
-		if set == nil {
-			return cell{}
+	measure := func(p shard.Policy, skew float64, seed int64) (cell, error) {
+		load := wideRun(e16Workload(skew), 400)
+		set, fsys, err := load.run(seed, mkCfg(p))
+		if err != nil {
+			return cell{}, err
 		}
 		ops := fsys.ShardOps()
 		var max, sum int64
@@ -162,14 +189,14 @@ func E17ShardSkew() *Report {
 				max = n
 			}
 		}
-		c := cell{rate: wallOf(set, "ZipfDirFiles", 16, 4), set: set}
+		c := cell{rate: load.rate(set), set: set}
 		if sum > 0 {
 			c.imbalance = float64(max) * float64(len(ops)) / float64(sum)
 		}
-		return c
+		return c, nil
 	}
-	cells := parCells("E17", []string{"hash-uniform", "subtree-uniform",
-		"hash-zipf", "subtree-zipf"}, func(i int) cell {
+	cells, err := parCells("E17", []string{"hash-uniform", "subtree-uniform",
+		"hash-zipf", "subtree-zipf"}, func(i int) (cell, error) {
 		switch i {
 		case 0:
 			return measure(shard.PlaceHashDir, 0, 1701)
@@ -181,10 +208,11 @@ func E17ShardSkew() *Report {
 			return measure(shard.PlaceSubtree, 2.0, 1704)
 		}
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	for _, c := range cells {
-		if c.set != nil {
-			r.Sets = append(r.Sets, c.set)
-		}
+		r.Sets = append(r.Sets, c.set)
 	}
 	hashU, subU, hashZ, subZ := cells[0], cells[1], cells[2], cells[3]
 	r.row("hash placement, uniform", hashU.rate, "ops/s",
@@ -195,18 +223,14 @@ func E17ShardSkew() *Report {
 		fmt.Sprintf("hottest shard %.1fx mean", hashZ.imbalance))
 	r.row("subtree placement, Zipf 2.0", subZ.rate, "ops/s",
 		fmt.Sprintf("hottest shard %.1fx mean", subZ.imbalance))
-	if subZ.rate > 0 && hashU.rate > 0 {
-		r.row("hash advantage under skew", hashZ.rate/subZ.rate, "x", "")
-		r.row("subtree advantage under uniform", subU.rate/hashU.rate, "x", "")
-		r.finding("related work: hash partitioning absorbs popularity skew that "+
-			"subtree placement concentrates (hottest shard %.1fx mean vs %.1fx); "+
-			"here hash wins %.2fx under Zipf skew while subtree wins %.2fx under "+
-			"uniform load by avoiding replicated directory mutations",
-			hashZ.imbalance, subZ.imbalance,
-			hashZ.rate/subZ.rate, subU.rate/hashU.rate)
-	} else {
-		r.finding("run failed")
-	}
+	r.row("hash advantage under skew", hashZ.rate/subZ.rate, "x", "")
+	r.row("subtree advantage under uniform", subU.rate/hashU.rate, "x", "")
+	r.finding("related work: hash partitioning absorbs popularity skew that "+
+		"subtree placement concentrates (hottest shard %.1fx mean vs %.1fx); "+
+		"here hash wins %.2fx under Zipf skew while subtree wins %.2fx under "+
+		"uniform load by avoiding replicated directory mutations",
+		hashZ.imbalance, subZ.imbalance,
+		hashZ.rate/subZ.rate, subU.rate/hashU.rate)
 	return r
 }
 
@@ -223,9 +247,8 @@ func E18CrossShard() *Report {
 	type renameProbe struct {
 		sameAvg, crossAvg time.Duration
 		crossings         int64
-		err               error
 	}
-	probeRename := func() renameProbe {
+	probeRename := func() (renameProbe, error) {
 		k := sim.New(1801)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := newShardFS(k, "meta", shard.DefaultConfig(8))
@@ -243,109 +266,105 @@ func E18CrossShard() *Report {
 				remote = cand
 			}
 		}
-		var sameAvg, crossAvg time.Duration
-		k.Spawn("probe", func(p *sim.Proc) {
+		var pr renameProbe
+		err := runProc(k, "probe", func(p *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], p)
 			for _, d := range []string{base, local, remote} {
 				if err := c.Mkdir(d); err != nil {
-					return
+					return err
 				}
 			}
 			for i := 0; i < ops; i++ {
 				if err := c.Create(fmt.Sprintf("%s/f%d", base, i)); err != nil {
-					return
+					return err
 				}
 			}
 			start := p.Now()
 			for i := 0; i < ops; i++ {
 				if err := c.Rename(fmt.Sprintf("%s/f%d", base, i), fmt.Sprintf("%s/f%d", local, i)); err != nil {
-					return
+					return err
 				}
 			}
-			sameAvg = (p.Now() - start) / ops
+			pr.sameAvg = (p.Now() - start) / ops
 			start = p.Now()
 			for i := 0; i < ops; i++ {
 				if err := c.Rename(fmt.Sprintf("%s/f%d", local, i), fmt.Sprintf("%s/f%d", remote, i)); err != nil {
-					return
+					return err
 				}
 			}
-			crossAvg = (p.Now() - start) / ops
+			pr.crossAvg = (p.Now() - start) / ops
+			return nil
 		})
-		err := k.Run()
-		return renameProbe{sameAvg, crossAvg, fsys.CrossCount, err}
+		pr.crossings = fsys.CrossCount
+		return pr, err
 	}
 
 	// Part 2 cell: root readdir under subtree placement merges all
 	// shards; a subtree-local listing stays on one.
 	type readdirProbe struct {
 		rootAvg, localAvg time.Duration
-		err               error
 	}
-	probeReaddir := func() readdirProbe {
+	probeReaddir := func() (readdirProbe, error) {
 		k2 := sim.New(1802)
 		cl2 := cluster.New(k2, cluster.DefaultConfig(1))
 		cfg := shard.DefaultConfig(8)
 		cfg.Placement = shard.PlaceSubtree
 		cfg.SubtreeAssign = e16SubtreeAssign(8)
 		fsys2 := newShardFS(k2, "meta", cfg)
-		var rootAvg, localAvg time.Duration
-		k2.Spawn("readdir", func(p *sim.Proc) {
+		var rd readdirProbe
+		err := runProc(k2, "readdir", func(p *sim.Proc) error {
 			c := fsys2.NewClient(cl2.Nodes[0], p)
 			for j := 0; j < 24; j++ {
 				if err := c.Mkdir(fmt.Sprintf("/zp%d", j)); err != nil {
-					return
+					return err
 				}
 			}
 			for i := 0; i < 32; i++ {
 				if err := c.Create(fmt.Sprintf("/zp0/f%d", i)); err != nil {
-					return
+					return err
 				}
 			}
 			start := p.Now()
 			for i := 0; i < ops; i++ {
 				if _, err := c.ReadDir("/"); err != nil {
-					return
+					return err
 				}
 			}
-			rootAvg = (p.Now() - start) / ops
+			rd.rootAvg = (p.Now() - start) / ops
 			start = p.Now()
 			for i := 0; i < ops; i++ {
 				if _, err := c.ReadDir("/zp0"); err != nil {
-					return
+					return err
 				}
 			}
-			localAvg = (p.Now() - start) / ops
+			rd.localAvg = (p.Now() - start) / ops
+			return nil
 		})
-		err := k2.Run()
-		return readdirProbe{rootAvg, localAvg, err}
+		return rd, err
 	}
 
 	// Both probes write only their own slot; merge in declaration order.
 	var ren renameProbe
 	var rd readdirProbe
-	parCells("E18", []string{"rename", "readdir"}, func(i int) struct{} {
+	_, err := parCells("E18", []string{"rename", "readdir"}, func(i int) (struct{}, error) {
+		var err error
 		if i == 0 {
-			ren = probeRename()
+			ren, err = probeRename()
 		} else {
-			rd = probeReaddir()
+			rd, err = probeReaddir()
 		}
-		return struct{}{}
+		return struct{}{}, err
 	})
-	sameAvg, crossAvg := ren.sameAvg, ren.crossAvg
-	if ren.err != nil || sameAvg == 0 || crossAvg == 0 {
-		r.finding("rename probe failed (err=%v)", ren.err)
-		return r
+	if err != nil {
+		return r.fail(err)
 	}
+	sameAvg, crossAvg := ren.sameAvg, ren.crossAvg
 	r.row("same-shard rename", float64(sameAvg.Microseconds()), "us", "hash placement, 8 shards")
 	r.row("cross-shard rename", float64(crossAvg.Microseconds()), "us", "migrate + interconnect hop")
 	r.row("cross-shard rename penalty", float64(crossAvg)/float64(sameAvg), "x", "")
 	r.row("interconnect crossings", float64(ren.crossings), "", "")
 
 	rootAvg, localAvg := rd.rootAvg, rd.localAvg
-	if rd.err != nil || rootAvg == 0 || localAvg == 0 {
-		r.finding("readdir probe failed (err=%v)", rd.err)
-		return r
-	}
 	r.row("root readdir (8-shard merge)", float64(rootAvg.Microseconds()), "us", "subtree placement")
 	r.row("subtree-local readdir", float64(localAvg.Microseconds()), "us", "")
 	r.row("merge penalty", float64(rootAvg)/float64(localAvg), "x", "")

@@ -32,28 +32,6 @@ func e25Cfg(n, threshold int) shard.Config {
 	return cfg
 }
 
-// runWide executes a WideDirFiles run — every process hammering one
-// shared directory — on a 16-node x 4-process cluster (64 workers) and
-// returns the result set plus the FS for counter readout.
-func runWide(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*results.Set, *shard.FS) {
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(16))
-	fsys := newShardFS(k, "meta", cfg)
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: problem, WorkDir: "/"},
-		SlotsPerNode: 4,
-		Plugins:      []core.Plugin{plugin},
-		Filter:       func(c core.Combo) bool { return c.Nodes == 16 && c.PPN == 4 },
-	}
-	set, err := r.Run()
-	if err != nil {
-		return nil, fsys
-	}
-	return set, fsys
-}
-
 // E25SplitScaling sweeps the shard count under the mdtest
 // shared-directory pattern with splitting off and on: without it, every
 // create of the one shared directory serializes on the directory's home
@@ -63,8 +41,7 @@ func runWide(seed int64, cfg shard.Config, plugin core.Plugin, problem int) (*re
 func E25SplitScaling() *Report {
 	r := &Report{ID: "E25", Title: "Giant-directory splitting: one shared directory vs. shard count",
 		PaperRef: "beyond §4.3.3 (the large-directory wall; GIGA+/HopsFS direction)"}
-	plugin := core.WideDirFiles{}
-	const problem = 250 // per process; 64 procs = 16k files in one directory
+	load := wideRun(core.WideDirFiles{}, 250) // per process; 64 procs = 16k files in one directory
 	shardsSwept := []int{1, 2, 4, 8, 16}
 	// One cell per (shard count, splitting on/off) pair — 10 runs, one
 	// seed for all of them.
@@ -79,26 +56,25 @@ func E25SplitScaling() *Report {
 	for _, n := range shardsSwept {
 		names = append(names, fmt.Sprintf("%dshards-off", n), fmt.Sprintf("%dshards-on", n))
 	}
-	cells := parCells("E25", names, func(i int) e25cell {
+	cells, err := parCells("E25", names, func(i int) (e25cell, error) {
 		threshold := 0
 		if i%2 == 1 {
 			threshold = 512
 		}
-		set, fsys := runWide(2500, e25Cfg(shardsSwept[i/2], threshold), plugin, problem)
-		if set == nil {
-			return e25cell{}
+		set, fsys, err := load.run(2500, e25Cfg(shardsSwept[i/2], threshold))
+		if err != nil {
+			return e25cell{}, err
 		}
-		return e25cell{set: set, rate: wallOf(set, plugin.Name(), 16, 4),
-			splits: len(fsys.Splits), moved: fsys.SplitMoved, bounces: fsys.Bounces}
+		return e25cell{set: set, rate: load.rate(set),
+			splits: len(fsys.Splits), moved: fsys.SplitMoved, bounces: fsys.Bounces}, nil
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, offY, onY []float64
 	var off8, on8 float64
 	for i, n := range shardsSwept {
 		off, on := cells[2*i], cells[2*i+1]
-		if off.set == nil || on.set == nil {
-			r.finding("run failed at %d shards", n)
-			return r
-		}
 		r.Sets = append(r.Sets, off.set, on.set)
 		xs = append(xs, float64(n))
 		offY = append(offY, off.rate)
@@ -111,9 +87,7 @@ func E25SplitScaling() *Report {
 			fmt.Sprintf("%d splits, %d entries moved, %d bounces",
 				on.splits, on.moved, on.bounces))
 	}
-	if off8 > 0 {
-		r.row("split advantage @ 8 shards", on8/off8, "x", "threshold 512")
-	}
+	r.row("split advantage @ 8 shards", on8/off8, "x", "threshold 512")
 	r.row("split off: speedup 1->16 shards", offY[len(offY)-1]/offY[0], "x", "one directory, one shard")
 	r.row("split on: speedup 1->16 shards", onY[len(onY)-1]/onY[0], "x", "")
 	r.finding("one shared directory defeats per-directory placement: with splitting "+
@@ -143,55 +117,40 @@ func E26SplitStorm() *Report {
 	r := &Report{ID: "E26", Title: "Split-storm cost: migration dips vs. split threshold",
 		PaperRef: "beyond §4.2 + §4.3.4 (self-inflicted disturbances in the timeline)"}
 	const window = 12 * time.Second
-	run := func(seed int64, threshold int) (*results.Measurement, *results.Set, *shard.FS, time.Duration) {
-		cfg := e25Cfg(8, threshold)
-		k := sim.New(seed)
-		cl := cluster.New(k, cluster.DefaultConfig(8))
-		fsys := newShardFS(k, "meta", cfg)
-		var benchStart time.Duration
-		rn := &core.Runner{
-			Cluster: cl,
-			FS:      fsys,
-			Params: core.Params{ProblemSize: 1 << 20, TimeLimit: window,
-				WorkDir: "/"},
-			SlotsPerNode: 2,
-			Plugins:      []core.Plugin{core.WideDirFiles{}},
-			Filter:       func(c core.Combo) bool { return c.Nodes == 8 && c.PPN == 2 },
-			BenchStartHook: func(mp *sim.Proc, _ core.MeasurementInfo) {
-				benchStart = mp.Now()
-			},
-		}
-		set, err := rn.Run()
-		if err != nil {
-			return nil, nil, fsys, 0
-		}
-		return set.Find("WideDirFiles", 8, 2), set, fsys, benchStart
-	}
 	// One cell per split threshold.
-	thresholds := []int{512, 2048, 8192}
 	type e26cell struct {
 		m     *results.Measurement
 		set   *results.Set
 		fs    *shard.FS
 		start time.Duration
 	}
+	run := func(seed int64, threshold int) (c e26cell, err error) {
+		load := shardRun{nodes: 8, ppn: 2, dir: "/", plugin: core.WideDirFiles{},
+			problem: 1 << 20, window: window,
+			hook: func(_ *shard.FS, mp *sim.Proc) { c.start = mp.Now() }}
+		c.set, c.fs, err = load.run(seed, e25Cfg(8, threshold))
+		if err != nil {
+			return c, err
+		}
+		c.m = load.find(c.set)
+		return c, nil
+	}
+	thresholds := []int{512, 2048, 8192}
 	names := make([]string, len(thresholds))
 	for i, threshold := range thresholds {
 		names[i] = fmt.Sprintf("thresh%d", threshold)
 	}
-	cells := parCells("E26", names, func(i int) e26cell {
-		m, set, fsys, start := run(int64(2600+i), thresholds[i])
-		return e26cell{m, set, fsys, start}
+	cells, err := parCells("E26", names, func(i int) (e26cell, error) {
+		return run(int64(2600+i), thresholds[i])
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var chartsOut []string
 	var firstDip, lastDip, lastCOV float64
 	var lastStorm int
 	for i, threshold := range thresholds {
 		m, set, fsys, start := cells[i].m, cells[i].set, cells[i].fs, cells[i].start
-		if m == nil {
-			r.finding("run failed at threshold %d", threshold)
-			return r
-		}
 		r.Sets = append(r.Sets, set)
 		rate := wallOf(set, "WideDirFiles", 8, 2)
 		// The deepest single-interval dip across all split instants,
@@ -267,10 +226,19 @@ func E27SplitRouting() *Report {
 		gap     = 200 * time.Millisecond // idle time between revisit bursts
 		pool    = 3000
 	)
+	// Seven cells: the four TTL bounce probes, the lease bounce probe and
+	// the two readdir fan-out probes, each on its own kernel.
+	type e27cell struct {
+		bounces int64
+		stats   int
+		hitRate float64
+		avg     time.Duration
+		parts   int
+	}
 	// probeBounce builds a split directory, then has each reader client
 	// revisit it in bursts separated by idle gaps; between bursts the
 	// bitmap can only survive on its TTL (or its lease).
-	probeBounce := func(mode shard.CacheMode, bitmapTTL time.Duration) (bounces int64, stats int, bitmapHitRate float64) {
+	probeBounce := func(mode shard.CacheMode, bitmapTTL time.Duration) (c e27cell, err error) {
 		cfg := e25Cfg(8, 256)
 		cfg.CacheMode = mode
 		if bitmapTTL > 0 {
@@ -279,14 +247,14 @@ func E27SplitRouting() *Report {
 		k := sim.New(2701)
 		cl := cluster.New(k, cluster.DefaultConfig(readers+1))
 		fsys := newShardFS(k, "meta", cfg)
-		k.Spawn("probe", func(p *sim.Proc) {
+		err = runProc(k, "probe", func(p *sim.Proc) error {
 			loader := fsys.NewClient(cl.Nodes[0], p)
 			if err := loader.Mkdir("/big"); err != nil {
-				return
+				return err
 			}
 			for i := 0; i < pool; i++ {
 				if err := loader.Create(fmt.Sprintf("/big/f%d", i)); err != nil {
-					return
+					return err
 				}
 			}
 			clients := make([]fs.Client, readers)
@@ -301,94 +269,80 @@ func E27SplitRouting() *Report {
 						// an attribute-cache hit and routing really runs.
 						n := (round*8 + i + j*751) % pool
 						if _, err := rd.Stat(fmt.Sprintf("/big/f%d", n)); err != nil {
-							return
+							return err
 						}
-						stats++
+						c.stats++
 					}
 				}
 				p.Sleep(gap)
 			}
-			bounces = fsys.Bounces - start
+			c.bounces = fsys.Bounces - start
+			return nil
 		})
-		if err := k.Run(); err != nil {
-			return 0, 0, 0
+		if err != nil {
+			return c, err
 		}
 		hits, misses, _ := fsys.SplitBitmapStats()
 		if hits+misses > 0 {
-			bitmapHitRate = 100 * float64(hits) / float64(hits+misses)
+			c.hitRate = 100 * float64(hits) / float64(hits+misses)
 		}
-		return bounces, stats, bitmapHitRate
+		return c, nil
 	}
 	ttls := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
 		500 * time.Millisecond, 10 * time.Second}
 	// The fan-out price of listing a split directory: one client, one
 	// 4000-entry directory, listed split (8 partition slices merged) and
 	// unsplit (one readdir on the home shard).
-	probe := func(threshold int) (avg time.Duration, parts int) {
+	probe := func(threshold int) (e27cell, error) {
 		k := sim.New(2750)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := newShardFS(k, "meta", e25Cfg(8, threshold))
-		k.Spawn("probe", func(p *sim.Proc) {
+		var avg time.Duration
+		err := runProc(k, "probe", func(p *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], p)
 			if err := c.Mkdir("/big"); err != nil {
-				return
+				return err
 			}
 			for i := 0; i < 4000; i++ {
 				if err := c.Create(fmt.Sprintf("/big/f%d", i)); err != nil {
-					return
+					return err
 				}
 			}
 			const ops = 50
 			start := p.Now()
 			for i := 0; i < ops; i++ {
 				if _, err := c.ReadDir("/big"); err != nil {
-					return
+					return err
 				}
 			}
 			avg = (p.Now() - start) / ops
+			return nil
 		})
-		if err := k.Run(); err != nil {
-			return 0, 0
-		}
-		return avg, 1 << fsys.SplitLevel("/big")
-	}
-	// Seven cells: the four TTL bounce probes, the lease bounce probe and
-	// the two readdir fan-out probes, each on its own kernel.
-	type e27cell struct {
-		bounces int64
-		stats   int
-		hitRate float64
-		avg     time.Duration
-		parts   int
+		return e27cell{avg: avg, parts: 1 << fsys.SplitLevel("/big")}, err
 	}
 	names := make([]string, 0, len(ttls)+3)
 	for _, ttl := range ttls {
 		names = append(names, "bitmap-ttl-"+ttl.String())
 	}
 	names = append(names, "lease-mode", "readdir-unsplit", "readdir-split")
-	cells := parCells("E27", names, func(i int) e27cell {
+	cells, err := parCells("E27", names, func(i int) (e27cell, error) {
 		switch {
 		case i < len(ttls):
-			b, s, h := probeBounce(shard.CacheTTL, ttls[i])
-			return e27cell{bounces: b, stats: s, hitRate: h}
+			return probeBounce(shard.CacheTTL, ttls[i])
 		case i == len(ttls):
-			b, s, h := probeBounce(shard.CacheLease, 0)
-			return e27cell{bounces: b, stats: s, hitRate: h}
+			return probeBounce(shard.CacheLease, 0)
 		case i == len(ttls)+1:
-			avg, parts := probe(0)
-			return e27cell{avg: avg, parts: parts}
+			return probe(0)
 		default:
-			avg, parts := probe(256)
-			return e27cell{avg: avg, parts: parts}
+			return probe(256)
 		}
 	})
+	if err != nil {
+		return r.fail(err)
+	}
 	var xs, ys []float64
 	for i, ttl := range ttls {
 		c := cells[i]
-		if c.stats == 0 {
-			r.finding("bounce probe failed at bitmap TTL %v", ttl)
-			return r
-		}
 		perRound := float64(c.bounces) / float64(rounds*readers)
 		xs = append(xs, ttl.Seconds())
 		ys = append(ys, perRound)
@@ -397,10 +351,6 @@ func E27SplitRouting() *Report {
 				c.bounces, c.stats, c.hitRate, gap))
 	}
 	lease := cells[len(ttls)]
-	if lease.stats == 0 {
-		r.finding("bounce probe failed for the lease-mode cell")
-		return r
-	}
 	leasePerRound := float64(lease.bounces) / float64(rounds*readers)
 	r.row("lease mode: bounces/revisit", leasePerRound, "",
 		fmt.Sprintf("%d bounces, %.0f%% bitmap hits; the bitmap rides the %s directory lease",
@@ -408,10 +358,6 @@ func E27SplitRouting() *Report {
 
 	flatAvg := cells[len(ttls)+1].avg
 	splitAvg, parts := cells[len(ttls)+2].avg, cells[len(ttls)+2].parts
-	if flatAvg == 0 || splitAvg == 0 {
-		r.finding("readdir probe failed")
-		return r
-	}
 	r.row("readdir 4000 entries, unsplit", float64(flatAvg.Microseconds()), "us", "one shard")
 	r.row(fmt.Sprintf("readdir 4000 entries, %d partitions", parts),
 		float64(splitAvg.Microseconds()), "us", "fan-out + merge")

@@ -28,15 +28,15 @@ func E15WritebackCaching() *Report {
 	// Two cells: the write-back run and its synchronous reference.
 	type e15cell struct {
 		set  *results.Set
-		err  error
 		rate float64
 	}
-	cells := parCells("E15", []string{"writeback", "sync-ref"}, func(i int) e15cell {
+	cells, err := parCells("E15", []string{"writeback", "sync-ref"}, func(i int) (e15cell, error) {
 		if i == 1 {
 			// Synchronous reference: the same hardware without write-back.
-			return e15cell{rate: singleProcWall(func(k *sim.Kernel) core.FileSystem {
+			rate, err := singleProcWall(func(k *sim.Kernel) core.FileSystem {
 				return newLustreFS(k, "scratch", lustre.DefaultConfig())
-			}, core.MakeFiles{}, 800, 1502)}
+			}, core.MakeFiles{}, core.Params{ProblemSize: 800}, 1502)
+			return e15cell{rate: rate}, err
 		}
 		k := sim.New(1501)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
@@ -51,21 +51,15 @@ func E15WritebackCaching() *Report {
 			SlotsPerNode: 1,
 			Plugins:      []core.Plugin{core.MakeFiles{}},
 		}
-		set, err := run.Run()
-		return e15cell{set: set, err: err}
+		set, err := runSet(run)
+		return e15cell{set: set}, err
 	})
-	set, err := cells[0].set, cells[0].err
-	syncRate := cells[1].rate
 	if err != nil {
-		r.finding("run failed: %v", err)
-		return r
+		return r.fail(err)
 	}
+	set, syncRate := cells[0].set, cells[1].rate
 	r.Sets = append(r.Sets, set)
 	m := set.Find("MakeFiles", 1, 1)
-	if m == nil {
-		r.finding("measurement missing")
-		return r
-	}
 	burst := windowThroughput(m, 0, 200*time.Millisecond)
 	sustained := windowThroughput(m, 4*time.Second, window)
 

@@ -138,10 +138,12 @@ type wbState struct {
 	dentries *clientcache.DentryCache
 
 	pending map[string]fs.Attr // locally completed, not yet at the MDS
-	queue   *sim.Queue
-	window  *sim.Semaphore
-	flusher *sim.Proc
-	flushed *sim.Cond
+	// pendingIn counts the pending entries per parent directory.
+	pendingIn map[string]int
+	queue     *sim.Queue
+	window    *sim.Semaphore
+	flusher   *sim.Proc
+	flushed   *sim.Cond
 	// drain is the flusher's one in-flight replayed create.
 	drain req
 }
@@ -257,6 +259,7 @@ func (f *FS) nodeState(n *cluster.Node) *wbState {
 			pending:  make(map[string]fs.Attr),
 		}
 		if f.cfg.Writeback {
+			s.pendingIn = make(map[string]int)
 			s.queue = sim.NewQueue(f.k, "wb:"+n.Name)
 			s.window = sim.NewSemaphore(f.k, "wbwin:"+n.Name, int64(f.cfg.WritebackWindow))
 			s.flushed = sim.NewCond(f.k, "wbflushed:"+n.Name)
@@ -342,6 +345,10 @@ func (f *FS) flushLoop(p *sim.Proc, n *cluster.Node, s *wbState) {
 		s.drain = req{fsys: f, op: fs.OpCreate, path: item}
 		conn.Call(p, 200, 160, &s.drain)
 		delete(s.pending, item)
+		dir := fs.ParentDir(item)
+		if s.pendingIn[dir]--; s.pendingIn[dir] == 0 {
+			delete(s.pendingIn, dir)
+		}
 		s.window.Release(1)
 		s.flushed.Broadcast()
 	}
@@ -486,6 +493,7 @@ func (c *client) Create(p string) error {
 		a := fs.Attr{Type: fs.TypeRegular, Nlink: 1, Mode: 0o644,
 			Mtime: c.p.Now(), Ctime: c.p.Now(), Atime: c.p.Now()}
 		st.pending[p] = a
+		st.pendingIn[fs.ParentDir(p)]++
 		st.queue.Put(p)
 		// Local bookkeeping cost of the cached operation.
 		c.node.ExecNice(c.p, 4*time.Microsecond, cfg.ClientNice)
@@ -744,9 +752,17 @@ func (c *client) Stat(p string) (fs.Attr, error) {
 	return r.attr, nil
 }
 
-// ReadDir issues READDIR RPCs to the MDS.
+// ReadDir issues READDIR RPCs to the MDS. In write-back mode it first
+// waits for the node's pending creates in p to drain, so the listing
+// includes the client's own entries.
 func (c *client) ReadDir(p string) ([]fs.DirEntry, error) {
 	c.node.Syscall(c.p)
+	if c.cfg().Writeback {
+		st := c.st()
+		for st.pendingIn[p] > 0 {
+			st.flushed.Wait(c.p)
+		}
+	}
 	r := c.begin(fs.OpReadDir, p)
 	c.cn().Call(c.p, 150, 300, r)
 	ents := r.ents

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dmetabench/internal/cluster"
+	"dmetabench/internal/core"
 	"dmetabench/internal/fs"
 	"dmetabench/internal/sim"
 )
@@ -147,6 +148,33 @@ func TestWritebackUnlinkWaitsForFlush(t *testing.T) {
 			t.Errorf("stat after unlink: %v", err)
 		}
 	})
+}
+
+// TestWritebackRemoveAllSeesPendingCreates removes a directory whose
+// creates are still in the node's write-back log: the listing must
+// include them, or the final rmdir meets entries the flusher lands
+// after the unlinks.
+func TestWritebackRemoveAllSeesPendingCreates(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Writeback = true
+	k, cl, f := env(t, 1, cfg)
+	inProc(t, k, func(p *sim.Proc) {
+		c := f.NewClient(cl.Nodes[0], p)
+		if err := c.Mkdir("/d"); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		for i := 0; i < 64; i++ {
+			if err := c.Create(fmt.Sprintf("/d/f%d", i)); err != nil {
+				t.Fatalf("create %d: %v", i, err)
+			}
+		}
+		if err := core.RemoveAll(c, "/d"); err != nil {
+			t.Fatalf("RemoveAll: %v", err)
+		}
+	})
+	if _, err := f.Namespace().Lookup("/d"); fs.CodeOf(err) != fs.ENOENT {
+		t.Fatalf("MDS still holds /d after RemoveAll: %v", err)
+	}
 }
 
 func TestSharedDirSerializesAtMDS(t *testing.T) {

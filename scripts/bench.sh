@@ -11,17 +11,16 @@
 # gate adds its own timing line instead).
 #
 # The snapshot records ns/op, B/op and allocs/op for the simulator
-# substrate benchmarks plus the fault-injection (E19–E21), cache-
-# coherence (E22–E24), directory-splitting (E25–E27), storage-backend
-# (E28–E30) and long-horizon aggregate-scale (E31–E33, at a reduced
-# -period) experiments, and the toolchain and commit that
-# produced it, so future PRs have a perf trajectory to compare against
-# (see DESIGN.md, "Performance-regression workflow"). The experiment
-# entries record the real-time cost of full experiment runs plus their
-# summary metrics (hit rates, stale-read windows) as extra columns; they
-# are in the snapshot for the trajectory only — the bench gate never
-# compares them (failover timelines are intentionally non-steady-state),
-# so it passes -substrate-only to skip them entirely. With -count N
+# substrate benchmarks plus every experiment of the registry (E01–E35
+# and A01/A02, as BenchmarkExperiment/<ID>; the long-horizon ones at a
+# reduced -period), and the toolchain and commit that produced it, so
+# future PRs have a perf trajectory to compare against (see DESIGN.md,
+# "Performance-regression workflow"). The experiment entries record the
+# real-time cost of full experiment runs plus every report row (hit
+# rates, stale-read windows) as extra columns; they are in the snapshot
+# for the trajectory only — the bench gate never compares them
+# (failover timelines are intentionally non-steady-state), so it passes
+# -substrate-only to skip them entirely. With -count N
 # every benchmark runs N times; the JSON stores the per-benchmark mean
 # and the raw `go test` output is written alongside as BENCH_<date>.txt
 # for benchstat.
@@ -33,18 +32,9 @@ outdir="."
 count=1
 suite=1
 substrate='BenchmarkSimulatedCreate$|BenchmarkShardedCreate$|BenchmarkDomainCreate$|BenchmarkNFSDomainCreate$|BenchmarkCachedGetattr$|BenchmarkSplitCreate$|BenchmarkBackendCreate$|BenchmarkAggregateInject$|BenchmarkNamespaceCreate$|BenchmarkRunnerMeasurement$'
-failover='BenchmarkE19Failover$|BenchmarkE20ReplicationOverhead$|BenchmarkE21RecoveryScaling$'
-coherence='BenchmarkE22LeaseTTL$|BenchmarkE23CacheModes$|BenchmarkE24FailoverCachedLoad$'
-split='BenchmarkE25SplitScaling$|BenchmarkE26SplitStorm$|BenchmarkE27SplitRouting$'
-backend='BenchmarkE28BackendProfile$|BenchmarkE29CompactionTimeline$|BenchmarkE30GroupCommit$'
-# The long-horizon experiments (interval-series harness) run at a
-# reduced -period inside their benchmarks; their row metrics carry
-# spaces and slashes, which the unit-label column scan below tolerates.
-scale='BenchmarkE31AggregateDay$|BenchmarkE32ForegroundTail$|BenchmarkE33CapacityPressure$'
-# The service-runtime experiments (E34-E35); E35 runs at a reduced
-# -period inside its benchmark like the E31-E33 group.
-runtime='BenchmarkE34DomainedServers$|BenchmarkE35FilerAtScale$'
-pattern="$substrate|$failover|$coherence|$split|$backend|$scale|$runtime"
+# Every experiment, one sub-benchmark per registry entry. go test splits
+# -bench at the slash: the empty second level matches every experiment.
+pattern="$substrate|BenchmarkExperiment/"
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-count)
