@@ -193,7 +193,7 @@ func domainedCell(domains, workers int) *shard.FS {
 
 // BenchmarkDomainedCell measures the wall-clock of one heavy replicated
 // 8-shard cell on the single-heap kernel vs partitioned into 9 kernel
-// domains (8 shard domains + the client domain) on a full worker pool.
+// domains (8 shard domains + the client domain) on 1, 2 and 8 workers.
 // The domained runs additionally report their parallelism headroom:
 // total events dispatched divided by the busiest domain's share — the
 // wall-clock speedup bound an ideal multi-core run converges to (see
@@ -225,13 +225,15 @@ func BenchmarkDomainedCell(b *testing.B) {
 		}
 		b.ReportMetric(headroom(f), "headroomx")
 	})
-	b.Run("domains-9-workers-8", func(b *testing.B) {
-		var f *shard.FS
-		for i := 0; i < b.N; i++ {
-			f = domainedCell(9, 8)
-		}
-		b.ReportMetric(headroom(f), "headroomx")
-	})
+	for _, workers := range []int{2, 8} {
+		b.Run(fmt.Sprintf("domains-9-workers-%d", workers), func(b *testing.B) {
+			var f *shard.FS
+			for i := 0; i < b.N; i++ {
+				f = domainedCell(9, workers)
+			}
+			b.ReportMetric(headroom(f), "headroomx")
+		})
+	}
 }
 
 // BenchmarkNFSDomainCreate measures the real-time cost of one simulated

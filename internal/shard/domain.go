@@ -76,12 +76,12 @@ func (f *FS) sliceKernel(s int) *sim.Kernel { return f.kFor(f.serving[s]) }
 func (f *FS) peerLeg(sp *sim.Proc, ps *shardSrv, name string, body func(q *sim.Proc)) {
 	sp.Sleep(f.cfg.CrossShardOverhead)
 	if dk := f.kFor(ps.index); f.domained() && dk != sp.Kernel() {
-		sim.Call(sp, dk, f.cfg.CrossShardLatency, name, func(q *sim.Proc) {
+		sim.Call(sp, dk, f.cfg.CrossShardLatency, name, sim.HandlerFunc(func(q *sim.Proc) {
 			ps.peer.Threads.Acquire(q)
 			q.Sleep(f.cfg.CrossShardOverhead)
 			body(q)
 			ps.peer.Threads.Release()
-		})
+		}))
 		return
 	}
 	sp.Sleep(f.cfg.CrossShardLatency)

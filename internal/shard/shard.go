@@ -1613,7 +1613,7 @@ func (r *req) rmdir(sp *sim.Proc, at *shardSrv) {
 				// Reading a down peer's state is a rendezvous with its
 				// domain, no thread occupancy.
 				if dk := f.sliceKernel(s); dk != sp.Kernel() {
-					sim.Call(sp, dk, f.cfg.CrossShardLatency, "rmdirprobe", check)
+					sim.Call(sp, dk, f.cfg.CrossShardLatency, "rmdirprobe", sim.HandlerFunc(check))
 				} else {
 					check(sp)
 				}

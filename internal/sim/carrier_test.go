@@ -38,9 +38,9 @@ func domainedPoolRun(seed int64, clients int) string {
 	for i := 0; i < clients; i++ {
 		k.Spawn(fmt.Sprintf("client%d", i), func(p *Proc) {
 			for j := 0; j < 6; j++ {
-				Call(p, g.Kernel(1+(i+j)%2), 10*time.Microsecond, "rpc", func(q *Proc) {
+				Call(p, g.Kernel(1+(i+j)%2), 10*time.Microsecond, "rpc", HandlerFunc(func(q *Proc) {
 					q.Sleep(time.Duration(1+i) * time.Microsecond)
-				})
+				}))
 			}
 			sum += p.Now()
 		})

@@ -1,8 +1,10 @@
 // Conservative-lookahead parallel execution: a DomainGroup partitions
 // one simulation into N kernel domains — each with its own event heap,
 // clock, sequence counters and random source — that execute windows of
-// virtual time concurrently on real OS threads and exchange timestamped
-// messages between windows.
+// virtual time and exchange timestamped messages between windows. By
+// default the windows run one domain after another on the goroutine that
+// called Run; DomainGroup.Workers > 1 opts into running each window's
+// domains concurrently on OS threads.
 //
 // The protocol is the classic conservative (null-message-free, barrier
 // style) scheme: if every cross-domain interaction carries a minimum
@@ -12,8 +14,8 @@
 // minimum pending event time — are causally independent across domains:
 // any message sent while executing an event at t >= M arrives at
 // t+delay >= M+L, beyond the window. Each domain may therefore run its
-// slice of the window in isolation, on its own thread, with no locks on
-// the hot path.
+// slice of the window in isolation — on its own thread, when workers are
+// asked for — with no locks on the hot path.
 //
 // Determinism does not depend on the number of worker threads: domains
 // only interact through mailboxes that are drained at window edges and
@@ -45,7 +47,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -68,18 +69,25 @@ type Domain struct {
 	sendSeq int64
 }
 
-// message is one cross-domain event in flight. Exactly one of fn and
-// wake is set: fn runs as a fresh (pooled) process at the arrival time,
-// wake resumes an existing blocked process (the reply leg of Call, which
-// needs no body of its own — carrying the target directly saves the
-// closure and the extra process).
+// message is one cross-domain event in flight, of one of three kinds:
+//   - a Post (fn set): fn runs as a pooled process at the arrival time;
+//   - a Call request (h set): h runs as a pooled process at the arrival
+//     time, then the reply leg wakes caller reply later (serveCall);
+//   - a Call reply (wake set): resumes the blocked caller directly, so
+//     the reply needs no body and no process of its own.
+//
+// A Call request carries its handler, caller and reply delay as plain
+// fields, so a cross-domain RPC builds no closure.
 type message struct {
-	at   Time
-	src  int   // sender domain id
-	seq  int64 // sender-local sequence
-	name string
-	fn   func(p *Proc)
-	wake *Proc
+	at     Time
+	src    int   // sender domain id
+	seq    int64 // sender-local sequence
+	name   string
+	fn     func(p *Proc)
+	h      Handler
+	caller *Proc
+	reply  Time
+	wake   *Proc
 }
 
 // msgSeqBase offsets delivered-message sequence numbers far above any
@@ -104,9 +112,13 @@ type DomainGroup struct {
 	domains   []*Domain
 	lookahead Time
 
-	// Workers is the number of OS threads that execute domain windows
-	// (default: min(domains, NumCPU)). Results are identical for any
-	// value >= 1; tests pin 1 vs N to prove it.
+	// Workers is the number of OS threads that execute domain windows.
+	// The default, 1, runs every window on the goroutine that called
+	// Run: a window holds few events, so handing its domains to threads
+	// costs more than it saves, and parallel experiment cells already
+	// fill the host's cores. Larger values opt into concurrent windows.
+	// Results are identical for any value >= 1; tests pin 1 vs N to
+	// prove it.
 	Workers int
 
 	// fixed turns off the adaptive window rule (see run()), so every
@@ -160,7 +172,7 @@ func AddDomains(k *Kernel, n int, lookahead Time) *DomainGroup {
 	if n < 1 {
 		panic("sim: AddDomains needs at least one extra domain")
 	}
-	g := &DomainGroup{lookahead: lookahead, CheckCausality: true}
+	g := &DomainGroup{lookahead: lookahead, Workers: 1, CheckCausality: true}
 	attach := func(kn *Kernel) {
 		d := &Domain{id: len(g.domains), k: kn, g: g}
 		kn.dom = d
@@ -169,10 +181,6 @@ func AddDomains(k *Kernel, n int, lookahead Time) *DomainGroup {
 	attach(k)
 	for i := 0; i < n; i++ {
 		attach(New(k.rng.Int63()))
-	}
-	g.Workers = len(g.domains)
-	if cpus := runtime.NumCPU(); g.Workers > cpus {
-		g.Workers = cpus
 	}
 	return g
 }
@@ -202,23 +210,30 @@ func (k *Kernel) DomainID() int {
 // order depends only on (arrival time, sender domain, sender sequence),
 // never on thread timing.
 func Post(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
-	src := p.k
 	if delay < 0 {
 		delay = 0
 	}
-	if dst == src || src.dom == nil || dst.dom == nil {
+	if dst == p.k || p.k.dom == nil || dst.dom == nil {
 		dst.spawnAt(name, dst.now+delay, fn)
 		return
 	}
+	post(p, dst, delay, message{name: name, fn: fn})
+}
+
+// post sends m, a Post or a Call request, from p's domain to dst's,
+// stamping its arrival time and sender sequence after checking the
+// delay against the lookahead.
+func post(p *Proc, dst *Kernel, delay Time, m message) {
+	src := p.k
 	g := src.dom.g
 	if g != dst.dom.g {
 		panic("sim: Post across unrelated domain groups")
 	}
 	if g.CheckCausality && delay < g.lookahead {
 		panic(fmt.Sprintf("sim: causality violation: %s posts %s with delay %v < lookahead %v",
-			src.dom.label(), name, delay, g.lookahead))
+			src.dom.label(), m.name, delay, g.lookahead))
 	}
-	m := message{at: src.now + delay, src: src.dom.id, seq: src.dom.sendSeq, name: name, fn: fn}
+	m.at, m.src, m.seq = src.now+delay, src.dom.id, src.dom.sendSeq
 	src.dom.sendSeq++
 	src.dom.send(dst.dom, m)
 }
@@ -240,32 +255,54 @@ func (src *Domain) send(dst *Domain, m message) {
 	}
 }
 
-// Call is the cross-domain RPC rendezvous: it blocks p, runs fn in dst's
+// Handler is the remote half of a Call: Handle runs in the destination
+// domain on the process the request is delivered to.
+//
+// A handler is typically a pointer to a struct that already lives on the
+// heap, so passing it allocates nothing even though the cross-domain path
+// stores it in a message.
+type Handler interface {
+	Handle(q *Proc)
+}
+
+// HandlerFunc adapts a closure to Handler, for calls off the hot path
+// (the closure escapes, so it costs one allocation per call).
+type HandlerFunc func(q *Proc)
+
+// Handle calls f.
+func (f HandlerFunc) Handle(q *Proc) { f(q) }
+
+// Call is the cross-domain RPC rendezvous: it blocks p, runs h in dst's
 // domain (in a fresh process, after the one-way delay), and resumes p
 // after the reply delay. Timing is identical to sleeping the two delays
 // around an inline call; execution placement is what changes. Within a
 // single domain — or on a plain kernel — it degrades to exactly that
 // inline form, which is the single-kernel path the Domains<=1 contract pins.
-func Call(p *Proc, dst *Kernel, delay Time, name string, fn func(q *Proc)) {
+func Call(p *Proc, dst *Kernel, delay Time, name string, h Handler) {
 	if dst == p.k || p.k.dom == nil || dst.dom == nil {
 		p.Sleep(delay)
-		fn(p)
+		h.Handle(p)
 		p.Sleep(delay)
 		return
 	}
-	src := p.k
-	Post(p, dst, delay, name, func(q *Proc) {
-		q.Ctx = p.Ctx
-		fn(q)
-		// Reply leg: a wake message resuming p directly at arrival time.
-		// Carrying the target proc instead of a closure saves the closure
-		// allocation and the extra process on every cross-domain RPC.
-		k := q.k
-		m := message{at: k.now + delay, src: k.dom.id, seq: k.dom.sendSeq, name: "xcall-reply", wake: p}
-		k.dom.sendSeq++
-		k.dom.send(src.dom, m)
-	})
+	post(p, dst, delay, message{name: name, h: h, caller: p, reply: delay})
 	p.block(name)
+}
+
+// serveCall is the body of a delivered Call request: it runs the handler
+// with the caller's context, then sends the reply leg, a wake message
+// resuming the caller directly at its arrival time. The request sits on
+// q's carrier (spawnMsgAt), so neither leg allocates.
+func serveCall(q *Proc) {
+	c := q.c
+	h, caller, delay := c.h, c.caller, c.reply
+	c.h, c.caller = nil, nil // the carrier goes back to a pool
+	q.Ctx = caller.Ctx
+	h.Handle(q)
+	k := q.k
+	m := message{at: k.now + delay, src: k.dom.id, seq: k.dom.sendSeq, name: "xcall-reply", wake: caller}
+	k.dom.sendSeq++
+	k.dom.send(caller.k.dom, m)
 }
 
 func (d *Domain) label() string { return fmt.Sprintf("domain %d", d.id) }
@@ -323,7 +360,8 @@ func (g *DomainGroup) deliver() {
 		if len(msgs) == 0 {
 			continue
 		}
-		for _, m := range msgs {
+		for i := range msgs {
+			m := &msgs[i]
 			if g.CheckCausality && m.at < d.k.now {
 				panic(fmt.Sprintf("sim: causality violation: %s at %v receives message %q stamped %v from domain %d",
 					d.label(), d.k.now, m.name, m.at, m.src))
@@ -334,7 +372,7 @@ func (g *DomainGroup) deliver() {
 				d.k.scheduleSeq(m.wake, m.at, seq)
 				continue
 			}
-			d.k.spawnMsgAt(m.name, m.at, seq, m.fn)
+			d.k.spawnMsgAt(m, seq)
 		}
 	}
 }
@@ -541,33 +579,48 @@ func (g *DomainGroup) run(horizon Time) error {
 	}
 }
 
-// runWindows executes events strictly before ends[i] in domain i,
-// distributing domains across the worker pool. Correctness never
-// depends on the distribution: domains do not interact inside a window.
+// runWindows executes events strictly before ends[i] in domain i.
+// Correctness never depends on where a domain runs: domains do not
+// interact inside a window. With one worker, or when at most one domain
+// has an event before its edge, every domain runs on the calling
+// goroutine. Otherwise the caller runs stride 0 of the domains itself
+// and Workers-1 goroutines run the other strides.
 func (g *DomainGroup) runWindows(ends []Time) {
-	workers := g.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		for i, d := range g.domains {
-			d.k.runWindow(ends[i])
-		}
+	workers := min(g.Workers, len(g.domains))
+	if workers <= 1 || g.busy(ends) <= 1 {
+		g.runStride(0, 1, ends)
 		return
 	}
-	// workers goes in by value: captured, it would be heap-allocated on
-	// every window, the single-worker path included.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	// A panicking proc on stride 0 unwinds only after the other strides
+	// stopped touching their domains.
+	defer wg.Wait()
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func(w, stride int) {
 			defer wg.Done()
-			for i := w; i < len(g.domains); i += stride {
-				g.domains[i].k.runWindow(ends[i])
-			}
+			g.runStride(w, stride, ends)
 		}(w, workers)
 	}
-	wg.Wait()
+	g.runStride(0, workers, ends)
+}
+
+// runStride runs the windows of domains w, w+stride, w+2*stride ...
+func (g *DomainGroup) runStride(w, stride int, ends []Time) {
+	for i := w; i < len(g.domains); i += stride {
+		g.domains[i].k.runWindow(ends[i])
+	}
+}
+
+// busy counts the domains with an event before their window edge.
+func (g *DomainGroup) busy(ends []Time) int {
+	n := 0
+	for i, d := range g.domains {
+		if d.k.queue.len() > 0 && d.k.queue.e[0].at < ends[i] {
+			n++
+		}
+	}
+	return n
 }
 
 // release hands every domain's idle carriers to the process-wide idle
@@ -584,7 +637,7 @@ func (g *DomainGroup) blockedProcNames() []string {
 	for _, d := range g.domains {
 		for _, p := range d.k.procs {
 			if !p.done && !p.daemon && p.blockedOn != "" {
-				names = append(names, fmt.Sprintf("%s [%s] (%s)", p.name, d.label(), p.blockedOn))
+				names = append(names, fmt.Sprintf("%s [%s] (%s)", p.name, d.label(), p.blockReason()))
 			}
 		}
 	}

@@ -84,10 +84,10 @@ func TestDomainCallTiming(t *testing.T) {
 		start := p.Now()
 		p.Sleep(time.Millisecond)
 		callStart := p.Now()
-		Call(p, g.Kernel(1), 150*time.Microsecond, "rpc", func(q *Proc) {
+		Call(p, g.Kernel(1), 150*time.Microsecond, "rpc", HandlerFunc(func(q *Proc) {
 			bodyAt = q.Now()
 			q.Sleep(300 * time.Microsecond)
-		})
+		}))
 		elapsed = p.Now() - callStart
 		_ = start
 	})

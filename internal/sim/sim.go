@@ -291,17 +291,24 @@ func (k *Kernel) spawnProc(name string, fn func(p *Proc), daemon bool) *Proc {
 	return p
 }
 
-// spawnMsgAt schedules fn like spawnAt, under the caller-provided event
-// sequence number, on the Proc embedded in a pooled carrier: cross-domain
-// delivery runs one short-lived proc per message, and reusing the carrier's
-// Proc keeps delivery off the allocator. The *Proc never escapes to
-// callers (deliver() does not return it), so the reuse can never confuse
-// a Join — which is why plain Spawn allocates a fresh Proc.
-func (k *Kernel) spawnMsgAt(name string, at Time, seq int64, fn func(p *Proc)) {
+// spawnMsgAt schedules a delivered message's body at its arrival time,
+// under the caller-provided event sequence number, on the Proc embedded
+// in a pooled carrier: cross-domain delivery runs one short-lived proc per
+// message, and reusing the carrier's Proc keeps delivery off the
+// allocator. The *Proc never escapes to callers (deliver() does not return
+// it), so the reuse can never confuse a Join — which is why plain Spawn
+// allocates a fresh Proc. The body is m.fn for a Post; for a Call request
+// the carrier keeps the handler, caller and reply delay and runs serveCall.
+func (k *Kernel) spawnMsgAt(m *message, seq int64) {
 	c := k.carrier()
-	c.msg = Proc{k: k, name: name}
+	c.msg = Proc{k: k, name: m.name}
+	fn := m.fn
+	if m.h != nil {
+		c.h, c.caller, c.reply = m.h, m.caller, m.reply
+		fn = serveCall
+	}
 	k.start(c, &c.msg, fn)
-	k.scheduleSeq(&c.msg, at, seq)
+	k.scheduleSeq(&c.msg, m.at, seq)
 }
 
 // start registers p as live and binds it to carrier c, which runs fn on
@@ -331,6 +338,12 @@ type carrier struct {
 	p     *Proc         // proc currently bound to the carrier
 	fn    func(p *Proc) // p's body
 	msg   Proc          // reusable proc for cross-domain message delivery
+	// h, caller and reply are the pending Call request msg serves (see
+	// serveCall). They live here rather than on Proc so that every
+	// other proc stays one allocation size class smaller.
+	h      Handler
+	caller *Proc
+	reply  Time
 }
 
 // idle holds carriers released by terminated runs, shared by all kernels.
@@ -496,13 +509,34 @@ func (k *Kernel) wake(p *Proc) {
 	k.schedule(p, k.now)
 }
 
+// joinReason is the blocking reason of a proc in Join. The joined proc
+// is named only when a deadlock is reported (blockReason), so Join
+// blocks without building a string.
+const joinReason = "join"
+
 // Join blocks until q has finished.
 func (p *Proc) Join(q *Proc) {
 	if q.done {
 		return
 	}
 	q.waiters = append(q.waiters, p)
-	p.block("join:" + q.name)
+	p.block(joinReason)
+}
+
+// blockReason describes why p is blocked, for deadlock reports: its
+// blocking reason, with a Join naming the proc it waits for.
+func (p *Proc) blockReason() string {
+	if p.blockedOn != joinReason {
+		return p.blockedOn
+	}
+	for _, q := range p.k.procs {
+		for _, w := range q.waiters {
+			if w == p {
+				return joinReason + ":" + q.name
+			}
+		}
+	}
+	return joinReason
 }
 
 // DeadlockError reports the simulation stopping with live, blocked
@@ -531,7 +565,7 @@ func (k *Kernel) blockedProcNames() []string {
 	var names []string
 	for _, p := range k.procs {
 		if !p.done && !p.daemon && p.blockedOn != "" {
-			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.blockedOn))
+			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.blockReason()))
 		}
 	}
 	if len(names) == 0 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -260,6 +261,29 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	if len(de.Blocked) != 1 {
 		t.Fatalf("blocked = %v", de.Blocked)
+	}
+}
+
+// TestDeadlockNamesPrimitive checks that a deadlock report names what
+// each proc waits on, although blocking builds no reason string: the
+// semaphore's reason is fixed at construction and a Join is resolved to
+// the joined proc when the report is made.
+func TestDeadlockNamesPrimitive(t *testing.T) {
+	k := New(1)
+	sem := NewSemaphore(k, "stuck", 0)
+	k.Spawn("parent", func(p *Proc) {
+		p.Join(p.Spawn("child", func(q *Proc) { sem.Acquire(q, 1) }))
+	})
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	msg := de.Error()
+	for _, want := range []string{"parent (join:child)", "child (sem:stuck)"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("deadlock report %q does not contain %q", msg, want)
+		}
 	}
 }
 

@@ -24,15 +24,17 @@ type waitQueue = minHeap[waiter]
 // Acquire requests may ask for multiple units, which is convenient for
 // modelling byte-counted resources such as NVRAM space.
 type Semaphore struct {
-	k     *Kernel
-	name  string
-	units int64
-	q     waitQueue
+	k *Kernel
+	// reason names the semaphore in deadlock reports. It is built once
+	// here, so a contended acquire blocks without allocating.
+	reason string
+	units  int64
+	q      waitQueue
 }
 
 // NewSemaphore returns a semaphore holding units units.
 func NewSemaphore(k *Kernel, name string, units int64) *Semaphore {
-	return &Semaphore{k: k, name: name, units: units}
+	return &Semaphore{k: k, reason: "sem:" + name, units: units}
 }
 
 // Available returns the number of free units.
@@ -61,7 +63,7 @@ func (s *Semaphore) AcquirePri(p *Proc, n int64, pri int) {
 		return
 	}
 	s.q.push(waiter{p: p, pri: pri, seq: p.k.nextSeq(), n: n})
-	p.block("sem:" + s.name)
+	p.block(s.reason)
 }
 
 // Release returns n units and wakes as many waiters as can now be served.
@@ -88,7 +90,7 @@ type Mutex struct{ s Semaphore }
 
 // NewMutex returns an unlocked mutex.
 func NewMutex(k *Kernel, name string) *Mutex {
-	return &Mutex{s: Semaphore{k: k, name: name, units: 1}}
+	return &Mutex{s: *NewSemaphore(k, name, 1)}
 }
 
 // Lock acquires the mutex for p.
@@ -102,14 +104,14 @@ func (m *Mutex) Unlock() { m.s.Release(1) }
 // MPI_Barrier semantics used between benchmark phases.
 type Barrier struct {
 	k       *Kernel
-	name    string
+	reason  string // "barrier:<name>", built once for deadlock reports
 	parties int
 	arrived []*Proc
 }
 
 // NewBarrier returns a barrier for parties processes.
 func NewBarrier(k *Kernel, name string, parties int) *Barrier {
-	return &Barrier{k: k, name: name, parties: parties}
+	return &Barrier{k: k, reason: "barrier:" + name, parties: parties}
 }
 
 // Wait blocks p until all parties have called Wait.
@@ -125,24 +127,24 @@ func (b *Barrier) Wait(p *Proc) {
 		return
 	}
 	b.arrived = append(b.arrived, p)
-	p.block("barrier:" + b.name)
+	p.block(b.reason)
 }
 
 // Cond is a waitable condition with explicit Signal/Broadcast, for
 // building primitives whose wake-ups are data-dependent.
 type Cond struct {
-	k    *Kernel
-	name string
-	q    []*Proc
+	k      *Kernel
+	reason string // "cond:<name>", built once for deadlock reports
+	q      []*Proc
 }
 
 // NewCond returns an empty condition.
-func NewCond(k *Kernel, name string) *Cond { return &Cond{k: k, name: name} }
+func NewCond(k *Kernel, name string) *Cond { return &Cond{k: k, reason: "cond:" + name} }
 
 // Wait blocks p until a Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
 	c.q = append(c.q, p)
-	p.block("cond:" + c.name)
+	p.block(c.reason)
 }
 
 // Signal wakes the oldest waiter, if any.
@@ -169,14 +171,13 @@ func (c *Cond) Waiters() int { return len(c.q) }
 // Queue is an unbounded FIFO message queue between processes.
 type Queue struct {
 	k     *Kernel
-	name  string
 	items []interface{}
 	recv  Cond
 }
 
 // NewQueue returns an empty queue.
 func NewQueue(k *Kernel, name string) *Queue {
-	return &Queue{k: k, name: name, recv: Cond{k: k, name: "q:" + name}}
+	return &Queue{k: k, recv: *NewCond(k, "q:"+name)}
 }
 
 // Put appends v and wakes one receiver.

@@ -24,6 +24,7 @@ package simnet
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"dmetabench/internal/sim"
@@ -170,13 +171,52 @@ type Delay time.Duration
 // Serve sleeps the delay.
 func (d *Delay) Serve(sp *sim.Proc) { sp.Sleep(time.Duration(*d)) }
 
-// callCtx is the per-RPC context the cross-domain path threads through
-// sim.Proc.Ctx: service bodies register reply work on it via Defer.
+// callCtx is one cross-domain RPC in flight. It is the sim.Handler the
+// request runs in the server's domain, and the context the call threads
+// through sim.Proc.Ctx: service bodies register reply work on it via
+// Defer. Contexts are recycled through ctxPool, so an RPC allocates none.
 type callCtx struct {
-	thunks []func()
+	srv      *Server
+	body     Body
+	failable bool
+	thunks   []func()
 	// crashed records that the server went down while the request sat
 	// in its queue (failable calls only).
 	crashed bool
+}
+
+// ctxPool recycles call contexts. Callers in different domains take and
+// return them concurrently when a group runs its windows on several
+// workers; a context the GC drops is simply allocated again.
+var ctxPool = sync.Pool{New: func() any { return new(callCtx) }}
+
+// getCtx returns an idle call context for a request of body to srv.
+func getCtx(srv *Server, body Body, failable bool) *callCtx {
+	cc := ctxPool.Get().(*callCtx)
+	cc.srv, cc.body, cc.failable = srv, body, failable
+	return cc
+}
+
+// putCtx clears cc, keeping its thunk storage, and returns it to ctxPool.
+func putCtx(cc *callCtx) {
+	clear(cc.thunks)
+	*cc = callCtx{thunks: cc.thunks[:0]}
+	ctxPool.Put(cc)
+}
+
+// Handle runs the request in the server's domain: it holds a server
+// thread for the body, or records a crash that landed while the request
+// was queued.
+func (cc *callCtx) Handle(q *sim.Proc) {
+	srv := cc.srv
+	srv.Threads.Acquire(q)
+	if cc.failable && srv.down {
+		srv.Threads.Release()
+		cc.crashed = true
+		return
+	}
+	cc.body.Serve(q)
+	srv.Threads.Release()
 }
 
 // Defer registers fn as reply-time work for the RPC whose service body
@@ -280,28 +320,21 @@ func (c *Conn) rpcCross(p *sim.Proc, reqBytes, respBytes int64, b Body, failable
 	if c.wire != nil && reqBytes > 0 {
 		c.wire.Use(p, c.transferTime(reqBytes))
 	}
-	cc := &callCtx{}
+	srv := c.srv
+	cc := getCtx(srv, b, failable)
 	saved := p.Ctx
 	p.Ctx = cc
-	srv := c.srv
-	sim.Call(p, srv.k, c.Latency, srv.rpcName, func(q *sim.Proc) {
-		srv.Threads.Acquire(q)
-		if failable && srv.down {
-			srv.Threads.Release()
-			cc.crashed = true
-			return
-		}
-		b.Serve(q)
-		srv.Threads.Release()
-	})
+	sim.Call(p, srv.k, c.Latency, srv.rpcName, cc)
 	p.Ctx = saved
 	if cc.crashed {
+		putCtx(cc)
 		p.Sleep(c.failTimeout())
 		return ErrDown
 	}
 	for _, fn := range cc.thunks {
 		fn()
 	}
+	putCtx(cc)
 	if c.wire != nil && respBytes > 0 {
 		c.wire.Use(p, c.transferTime(respBytes))
 	}

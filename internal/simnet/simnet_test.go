@@ -184,3 +184,32 @@ func TestServerDoHoldsThread(t *testing.T) {
 		t.Fatalf("Do completions = %v, %v; want 1ms, 2ms", done[0], done[1])
 	}
 }
+
+// TestCrossDomainCallAllocFree pins the steady-state cost of a
+// cross-domain RPC at zero: the call context comes from the free list,
+// the request and its reply ride the carriers' message procs, and a
+// reused Body boxes nothing.
+func TestCrossDomainCallAllocFree(t *testing.T) {
+	const lat = 10 * time.Microsecond
+	k := sim.New(1)
+	g := sim.AddDomains(k, 1, lat)
+	g.Workers = 1
+	srv := NewServer(g.Kernel(1), "s", 1)
+	conn := NewConn(k, srv, lat, 0)
+	body := Delay(time.Microsecond)
+	var avg float64
+	k.Spawn("client", func(p *sim.Proc) {
+		avg = testing.AllocsPerRun(1000, func() {
+			conn.Call(p, 0, 0, &body)
+		})
+	})
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Fatalf("a cross-domain Call allocated %.2f objects/op, want 0", avg)
+	}
+	if d := g.Kernel(1).Dispatched(); d < 1001 {
+		t.Fatalf("server domain ran %d events, want >= 1001 (one request each)", d)
+	}
+}
