@@ -70,8 +70,7 @@ func (r *Runner) Run() (*results.Set, error) {
 
 // plan performs placement discovery for this runner's cluster/slot
 // configuration and returns the filtered execution plan — the combo
-// list both the serial master loop and ParallelRunner's cell
-// decomposition iterate.
+// list the master loop iterates.
 func (r *Runner) plan() ([]Combo, error) {
 	if len(r.Plugins) == 0 {
 		return nil, fmt.Errorf("dmetabench: no operations selected")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dmetabench/internal/charts"
+	"dmetabench/internal/cluster"
 	"dmetabench/internal/core"
 	"dmetabench/internal/fault"
 	"dmetabench/internal/results"
@@ -34,10 +35,12 @@ func e22Load(skew float64) core.StatMutateFiles {
 	return core.StatMutateFiles{Files: 640, MutateEvery: 16, Skew: skew}
 }
 
-// coherenceRun is the fixed-size Zipf 1.8 stat+mutate run of E22 and
-// E23 on an 8-node x 2-process cluster.
-func coherenceRun(problem int) shardRun {
-	return shardRun{nodes: 8, ppn: 2, dir: "/bench", plugin: e22Load(1.8), problem: problem}
+// coherence is the fixed-size Zipf 1.8 stat+mutate measurement of E22
+// and E23 on an 8-node x 2-process cluster.
+func coherence(seed int64, cfg shard.Config, problem int) measure[*shard.FS] {
+	return measure[*shard.FS]{seed: seed, nodes: 8, ppn: 2, fs: shardFS(cfg),
+		plugins: []core.Plugin{e22Load(1.8)},
+		params:  core.Params{ProblemSize: problem, WorkDir: "/bench"}}
 }
 
 // hitRate returns hits/(hits+misses) as a percentage.
@@ -48,78 +51,61 @@ func hitRate(hits, misses int64) float64 {
 	return 100 * float64(hits) / float64(hits+misses)
 }
 
-// E22LeaseTTL sweeps the lease TTL under a Zipf-skewed stat+mutate
+// e22LeaseTTL sweeps the lease TTL under a Zipf-skewed stat+mutate
 // load: longer leases convert expiry misses into hits, and what they
 // cost is revocation callbacks — every rewrite must chase down more
 // live holders — while staleness stays at zero, because a coherent hit
 // is revoked before the mutation returns.
-func E22LeaseTTL() *Report {
-	r := &Report{ID: "E22", Title: "Lease TTL sweep: hit rate vs. revocation traffic",
-		PaperRef: "beyond §2.1.2 (callback coherence; MetaFlow/HopsFS direction)"}
-	load := coherenceRun(8000)
+func e22LeaseTTL() spec[e22cell] {
 	ttls := []time.Duration{25 * time.Millisecond, 100 * time.Millisecond,
 		500 * time.Millisecond, 4 * time.Second}
 	// One cell per lease TTL, all with the same seed (the E16 sweep
 	// discipline: TTL is the only variable).
-	type e22cell struct {
-		set         *results.Set
-		hr, rate    float64
-		revocations int64
-		grants      int64
-		stale       int64
-	}
-	names := make([]string, len(ttls))
-	for i, ttl := range ttls {
-		names[i] = ttl.String()
-	}
-	cells, err := parCells("E22", names, func(i int) (e22cell, error) {
+	var cells []cell[e22cell]
+	for _, ttl := range ttls {
 		cfg := shard.DefaultConfig(4)
 		cfg.CacheMode = shard.CacheLease
-		cfg.LeaseTTL = ttls[i]
+		cfg.LeaseTTL = ttl
 		cfg.TrackStaleness = true
-		set, fsys, err := load.run(2200, cfg)
-		if err != nil {
-			return e22cell{}, err
-		}
-		hits, misses, _, _ := fsys.CacheStats()
-		return e22cell{set: set, hr: hitRate(hits, misses),
-			rate:        load.rate(set),
-			revocations: fsys.Revocations, grants: fsys.LeaseGrants,
-			stale: fsys.StaleReads}, nil
-	})
-	if err != nil {
-		return r.fail(err)
+		cells = append(cells, read(ttl.String(), coherence(2200, cfg, 8000),
+			func(m *results.Measurement, fsys *shard.FS) e22cell {
+				hits, misses, _, _ := fsys.CacheStats()
+				return e22cell{rate: rate(m), hr: hitRate(hits, misses),
+					revocations: fsys.Revocations, grants: fsys.LeaseGrants, stale: fsys.StaleReads}
+			}))
 	}
-	var xs, ys []float64
-	var firstHit, lastHit, firstRev, lastRev float64
-	for i, ttl := range ttls {
-		c := cells[i]
-		r.Sets = append(r.Sets, c.set)
-		xs = append(xs, ttl.Seconds())
-		ys = append(ys, c.hr)
-		if len(xs) == 1 {
-			firstHit, firstRev = c.hr, float64(c.revocations)
-		}
-		lastHit, lastRev = c.hr, float64(c.revocations)
-		r.row(fmt.Sprintf("lease %5s: hit rate", ttl), c.hr, "%",
-			fmt.Sprintf("%.0f stats/s", c.rate))
-		r.row(fmt.Sprintf("lease %5s: revocations", ttl), float64(c.revocations), "",
-			fmt.Sprintf("%d grants, %d stale reads", c.grants, c.stale))
+	return spec[e22cell]{
+		id: "E22", title: "Lease TTL sweep: hit rate vs. revocation traffic",
+		ref:   "beyond §2.1.2 (callback coherence; MetaFlow/HopsFS direction)",
+		cells: cells,
+		report: func(r *Report, out []e22cell) {
+			var xs, ys, revs []float64
+			for i, ttl := range ttls {
+				c := out[i]
+				xs = append(xs, ttl.Seconds())
+				ys = append(ys, c.hr)
+				revs = append(revs, float64(c.revocations))
+				r.row(fmt.Sprintf("lease %5s: hit rate", ttl), c.hr, "%",
+					fmt.Sprintf("%.0f stats/s", c.rate))
+				r.row(fmt.Sprintf("lease %5s: revocations", ttl), float64(c.revocations), "",
+					fmt.Sprintf("%d grants, %d stale reads", c.grants, c.stale))
+			}
+			last := len(ttls) - 1
+			r.finding("the lease TTL buys hit rate with revocation traffic: %.0f%% -> %.0f%% "+
+				"hits from 25ms to 4s leases while callbacks grow %.0f -> %.0f (longer "+
+				"leases leave more live holders for every mutation to chase down), and "+
+				"stale reads stay at zero at every point — the coherence invariant the "+
+				"timeout cache of E23 cannot offer at any TTL",
+				ys[0], ys[last], revs[0], revs[last])
+			r.Charts = append(r.Charts, charts.Render(
+				"Cache hit rate vs. lease TTL (Zipf 1.8 stat+mutate, 4 shards)",
+				"lease s", "hit %", chartW, chartH,
+				[]charts.Series{{Name: "coherent hits", X: xs, Y: ys}}))
+		},
 	}
-	r.finding("the lease TTL buys hit rate with revocation traffic: %.0f%% -> %.0f%% "+
-		"hits from 25ms to 4s leases while callbacks grow %.0f -> %.0f (longer "+
-		"leases leave more live holders for every mutation to chase down), and "+
-		"stale reads stay at zero at every point — the coherence invariant the "+
-		"timeout cache of E23 cannot offer at any TTL",
-		firstHit, lastHit, firstRev, lastRev)
-	r.Charts = append(r.Charts, charts.Render(
-		"Cache hit rate vs. lease TTL (Zipf 1.8 stat+mutate, 4 shards)",
-		"lease s", "hit %", chartW, chartH,
-		[]charts.Series{{Name: "coherent hits", X: xs, Y: ys}}))
-	return r
 }
 
-// E23CacheModes races the three client cache modes across shard counts
+// e23CacheModes races the three client cache modes across shard counts
 // on the shared stat+mutate load, then pins the hit-rate/staleness
 // trade-off at 4 shards. The timeout cache can only reach the coherent
 // cache's hit rate by serving stale attributes, and can only reach its
@@ -127,18 +113,8 @@ func E22LeaseTTL() *Report {
 // cache at all. Adding shards, meanwhile, barely moves a stat-heavy
 // load: request latency and client caching dominate, not server count
 // (the §4.6 lesson resurfacing at MDS scale).
-func E23CacheModes() *Report {
-	r := &Report{ID: "E23", Title: "Coherent vs. timeout vs. no client cache across shard counts",
-		PaperRef: "beyond §4.7.3 (AFS callbacks vs. NFS timeouts, per shard count)"}
-	load := coherenceRun(2000)
-	type cell struct {
-		rate, hit float64
-		stale     int64
-		set       *results.Set
-	}
-	// measure is one cell on its own kernel; sets are collected in cell
-	// order by the merge below.
-	measure := func(n int, mode shard.CacheMode, attrTTL time.Duration, seed int64) (cell, error) {
+func e23CacheModes() spec[e23cell] {
+	run := func(name string, n int, mode shard.CacheMode, attrTTL time.Duration, seed int64) cell[e23cell] {
 		cfg := shard.DefaultConfig(n)
 		cfg.CacheMode = mode
 		cfg.TrackStaleness = true
@@ -148,17 +124,10 @@ func E23CacheModes() *Report {
 		if mode == shard.CacheLease {
 			cfg.LeaseTTL = 30 * time.Second
 		}
-		set, fsys, err := load.run(seed, cfg)
-		if err != nil {
-			return cell{}, err
-		}
-		hits, misses, _, _ := fsys.CacheStats()
-		return cell{
-			rate:  load.rate(set),
-			hit:   hitRate(hits, misses),
-			stale: fsys.StaleReads,
-			set:   set,
-		}, nil
+		return read(name, coherence(seed, cfg, 2000), func(m *results.Measurement, fsys *shard.FS) e23cell {
+			hits, misses, _, _ := fsys.CacheStats()
+			return e23cell{rate: rate(m), hit: hitRate(hits, misses), stale: fsys.StaleReads}
+		})
 	}
 	shardCounts := []int{1, 2, 4, 8}
 	// 13 cells: (lease, ttl, none) per shard count plus the
@@ -167,158 +136,169 @@ func E23CacheModes() *Report {
 		tag  string
 		mode shard.CacheMode
 	}{{"lease", shard.CacheLease}, {"ttl", shard.CacheTTL}, {"none", shard.CacheNone}}
-	var names []string
-	for _, n := range shardCounts {
-		for _, m := range modes {
-			names = append(names, fmt.Sprintf("%dshards-%s", n, m.tag))
+	var cells []cell[e23cell]
+	for si, n := range shardCounts {
+		for mi, m := range modes {
+			cells = append(cells, run(fmt.Sprintf("%dshards-%s", n, m.tag),
+				n, m.mode, 0, int64(2300+10*si+mi)))
 		}
 	}
-	names = append(names, "4shards-ttl2ms")
-	cells, err := parCells("E23", names, func(i int) (cell, error) {
-		if i == len(names)-1 {
-			return measure(4, shard.CacheTTL, 2*time.Millisecond, 2340)
-		}
-		si, mi := i/len(modes), i%len(modes)
-		return measure(shardCounts[si], modes[mi].mode, 0, int64(2300+10*si+mi))
-	})
-	if err != nil {
-		return r.fail(err)
+	cells = append(cells, run("4shards-ttl2ms", 4, shard.CacheTTL, 2*time.Millisecond, 2340))
+	return spec[e23cell]{
+		id: "E23", title: "Coherent vs. timeout vs. no client cache across shard counts",
+		ref:   "beyond §4.7.3 (AFS callbacks vs. NFS timeouts, per shard count)",
+		cells: cells,
+		report: func(r *Report, out []e23cell) {
+			var xs, leaseY, ttlY, noneY []float64
+			var lease4, ttl4 e23cell
+			for i, n := range shardCounts {
+				lease, ttl, none := out[3*i], out[3*i+1], out[3*i+2]
+				xs = append(xs, float64(n))
+				leaseY = append(leaseY, lease.rate)
+				ttlY = append(ttlY, ttl.rate)
+				noneY = append(noneY, none.rate)
+				r.row(fmt.Sprintf("stats/s @ %d shards, lease 30s", n), lease.rate, "ops/s",
+					fmt.Sprintf("%.0f%% hits, %d stale", lease.hit, lease.stale))
+				r.row(fmt.Sprintf("stats/s @ %d shards, ttl 3s", n), ttl.rate, "ops/s",
+					fmt.Sprintf("%.0f%% hits, %d stale", ttl.hit, ttl.stale))
+				r.row(fmt.Sprintf("stats/s @ %d shards, no cache", n), none.rate, "ops/s", "")
+				if n == 4 {
+					lease4, ttl4 = lease, ttl
+				}
+			}
+			// The trade-off pinned at 4 shards: a TTL matched to the hot
+			// files' ~2ms mutation interval reaches the coherent cache's
+			// hit rate and still serves stale hits, because hot files are
+			// revisited faster than they are mutated.
+			matched := out[len(out)-1]
+			r.row("4 shards: lease 30s hit rate", lease4.hit, "%",
+				fmt.Sprintf("%d stale reads", lease4.stale))
+			r.row("4 shards: ttl 3s hit rate", ttl4.hit, "%",
+				fmt.Sprintf("%d stale reads", ttl4.stale))
+			r.row("4 shards: ttl 2ms hit rate", matched.hit, "%",
+				fmt.Sprintf("%d stale reads (hit-rate-matched TTL)", matched.stale))
+			r.finding("the timeout cache cannot buy freshness with its TTL on a write-shared "+
+				"load: at the 3s NFS default it tops the hit rate (%.0f%%) by serving %d "+
+				"stale hits, and even shrunk to the ~2ms hot-file mutation interval it "+
+				"matches the coherent hit rate (%.0f%% vs %.0f%%) while still serving %d "+
+				"stale reads — at equal (zero) staleness its only configuration is no cache "+
+				"at all, 0%% hits against the coherent cache's %.0f%%",
+				ttl4.hit, ttl4.stale, matched.hit, lease4.hit, matched.stale, lease4.hit)
+			r.Charts = append(r.Charts, charts.Render(
+				"Stat+mutate throughput vs. shard count by cache mode",
+				"shards", "ops/s", chartW, chartH,
+				[]charts.Series{
+					{Name: "lease 30s", X: xs, Y: leaseY},
+					{Name: "ttl 3s", X: xs, Y: ttlY},
+					{Name: "no cache", X: xs, Y: noneY},
+				}))
+		},
 	}
-	for _, c := range cells {
-		r.Sets = append(r.Sets, c.set)
-	}
-	var xs, leaseY, ttlY, noneY []float64
-	var lease4, ttl4 cell
-	for i, n := range shardCounts {
-		lease, ttl, none := cells[3*i], cells[3*i+1], cells[3*i+2]
-		xs = append(xs, float64(n))
-		leaseY = append(leaseY, lease.rate)
-		ttlY = append(ttlY, ttl.rate)
-		noneY = append(noneY, none.rate)
-		r.row(fmt.Sprintf("stats/s @ %d shards, lease 30s", n), lease.rate, "ops/s",
-			fmt.Sprintf("%.0f%% hits, %d stale", lease.hit, lease.stale))
-		r.row(fmt.Sprintf("stats/s @ %d shards, ttl 3s", n), ttl.rate, "ops/s",
-			fmt.Sprintf("%.0f%% hits, %d stale", ttl.hit, ttl.stale))
-		r.row(fmt.Sprintf("stats/s @ %d shards, no cache", n), none.rate, "ops/s", "")
-		if n == 4 {
-			lease4, ttl4 = lease, ttl
-		}
-	}
-	// The trade-off pinned at 4 shards: a TTL matched to the hot files'
-	// ~2ms mutation interval reaches the coherent cache's hit rate and
-	// still serves stale hits, because hot files are revisited faster
-	// than they are mutated.
-	matched := cells[len(cells)-1]
-	r.row("4 shards: lease 30s hit rate", lease4.hit, "%",
-		fmt.Sprintf("%d stale reads", lease4.stale))
-	r.row("4 shards: ttl 3s hit rate", ttl4.hit, "%",
-		fmt.Sprintf("%d stale reads", ttl4.stale))
-	r.row("4 shards: ttl 2ms hit rate", matched.hit, "%",
-		fmt.Sprintf("%d stale reads (hit-rate-matched TTL)", matched.stale))
-	r.finding("the timeout cache cannot buy freshness with its TTL on a write-shared "+
-		"load: at the 3s NFS default it tops the hit rate (%.0f%%) by serving %d "+
-		"stale hits, and even shrunk to the ~2ms hot-file mutation interval it "+
-		"matches the coherent hit rate (%.0f%% vs %.0f%%) while still serving %d "+
-		"stale reads — at equal (zero) staleness its only configuration is no cache "+
-		"at all, 0%% hits against the coherent cache's %.0f%%",
-		ttl4.hit, ttl4.stale, matched.hit, lease4.hit, matched.stale, lease4.hit)
-	r.Charts = append(r.Charts, charts.Render(
-		"Stat+mutate throughput vs. shard count by cache mode",
-		"shards", "ops/s", chartW, chartH,
-		[]charts.Series{
-			{Name: "lease 30s", X: xs, Y: leaseY},
-			{Name: "ttl 3s", X: xs, Y: ttlY},
-			{Name: "no cache", X: xs, Y: noneY},
-		}))
-	return r
 }
 
-// E24FailoverCachedLoad puts a lease-cached stat+mutate load through
-// PR 3's crash/takeover path. The promoted backup knows nothing about
-// the dead primary's leases, so it cannot revoke them: without
-// crash-time invalidation every mutation it applies leaves stale
-// client hits behind until the leases expire on their own. Epoch-based
-// bulk invalidation (Config.CrashInvalidate) closes that window to the
-// takeover itself.
-func E24FailoverCachedLoad() *Report {
-	r := &Report{ID: "E24", Title: "Failover under cached load: the stale-read window",
-		PaperRef: "beyond §4.2 + §2.1.2 (cache coherence across failover)"}
+// e24FailoverCachedLoad puts a lease-cached stat+mutate load through
+// the sharded MDS's crash/takeover path. The promoted backup knows
+// nothing about the dead primary's leases, so it cannot revoke them:
+// without crash-time invalidation every mutation it applies leaves
+// stale client hits behind until the leases expire on their own.
+// Epoch-based bulk invalidation (Config.CrashInvalidate) closes that
+// window to the takeover itself.
+func e24FailoverCachedLoad() spec[e24cell] {
 	const (
 		window    = 16 * time.Second
 		crashAt   = 6 * time.Second
 		restartAt = 13 * time.Second
 	)
-	plan := (&fault.Plan{}).Outage(crashAt, restartAt, 0)
-	if err := plan.Validate(); err != nil {
-		return r.fail(err)
-	}
 	// Two cells: with and without crash-time lease invalidation.
-	type e24cell struct {
-		m   *results.Measurement
-		set *results.Set
-		fs  *shard.FS
-	}
-	run := func(seed int64, invalidate bool) (c e24cell, err error) {
+	run := func(seed int64, invalidate bool) func() (e24cell, error) {
 		cfg := shard.DefaultConfig(2)
 		cfg.Replicate = true
 		cfg.CacheMode = shard.CacheLease
 		cfg.LeaseTTL = 8 * time.Second
 		cfg.TrackStaleness = true
 		cfg.CrashInvalidate = invalidate
-		load := shardRun{nodes: 8, ppn: 2, dir: "/bench", plugin: e22Load(0),
-			problem: 1 << 20, window: window,
-			hook: func(fsys *shard.FS, mp *sim.Proc) { plan.Start(mp, fsys) }}
-		c.set, c.fs, err = load.run(seed, cfg)
-		if err != nil {
-			return c, err
+		plan := (&fault.Plan{}).Outage(crashAt, restartAt, 0)
+		m := measure[*shard.FS]{seed: seed, nodes: 8, ppn: 2, fs: shardFS(cfg),
+			plugins: []core.Plugin{e22Load(0)},
+			params:  core.Params{ProblemSize: 1 << 20, TimeLimit: window, WorkDir: "/bench"},
+			hook:    func(_ *cluster.Cluster, fsys *shard.FS, mp *sim.Proc) { plan.Start(mp, fsys) }}
+		return func() (c e24cell, err error) {
+			if err := plan.Validate(); err != nil {
+				return c, err
+			}
+			set, fsys, err := m.run()
+			if err != nil {
+				return c, err
+			}
+			if len(fsys.Takeovers) == 0 {
+				return c, errors.New("no takeover recorded")
+			}
+			c = e24cell{m: set.Measurements[0], takeover: fsys.Takeovers[0], stale: fsys.StaleReads}
+			// The stale-read window runs from the crash to the last stale hit.
+			if w := fsys.LastStaleAt - c.takeover.CrashAt; fsys.StaleReads > 0 && w > 0 {
+				c.window = w
+			}
+			_, _, _, c.epochDrops = fsys.CacheStats()
+			return c, nil
 		}
-		if len(c.fs.Takeovers) == 0 {
-			return c, errors.New("no takeover recorded")
-		}
-		c.m = load.find(c.set)
-		return c, nil
 	}
-	cells, err := parCells("E24", []string{"invalidate", "no-invalidate"}, func(i int) (e24cell, error) {
-		return run(int64(2400+i), i == 0)
-	})
-	if err != nil {
-		return r.fail(err)
+	return spec[e24cell]{
+		id: "E24", title: "Failover under cached load: the stale-read window",
+		ref: "beyond §4.2 + §2.1.2 (cache coherence across failover)",
+		cells: []cell[e24cell]{
+			{"invalidate", run(2400, true)},
+			{"no-invalidate", run(2401, false)},
+		},
+		report: func(r *Report, out []e24cell) {
+			ic, sc := out[0], out[1]
+			r.row("invalidate: takeover latency", ic.takeover.Total().Seconds()*1000, "ms",
+				fmt.Sprintf("detect + %d entries replayed", ic.takeover.Entries))
+			r.row("invalidate: stale reads", float64(ic.stale), "", "epoch check on every hit")
+			r.row("invalidate: stale-read window", ic.window.Seconds(), "s", "")
+			r.row("invalidate: leases bulk-dropped", float64(ic.epochDrops), "", "epoch moves observed by clients")
+			r.row("no invalidate: takeover latency", sc.takeover.Total().Seconds()*1000, "ms", "")
+			r.row("no invalidate: stale reads", float64(sc.stale), "",
+				"no serving change can revoke its predecessor's leases")
+			r.row("no invalidate: stale-read window", sc.window.Seconds(), "s",
+				fmt.Sprintf("takeover and failback each leak up to the %s lease TTL", 8*time.Second))
+			r.finding("failover without lease invalidation leaks staleness: neither the "+
+				"promoted backup (crash at 6s) nor the restarted primary (failback at 13s) "+
+				"can revoke leases its predecessor granted, so mutations they serve leave "+
+				"clients trusting dead leases — a %.1fs stale window, %d stale reads, each "+
+				"leak bounded only by the 8s lease TTL. Crash-time epoch invalidation "+
+				"shrinks the window to %.1fs (%d stale reads) at the same %.0fms takeover "+
+				"latency",
+				sc.window.Seconds(), sc.stale,
+				ic.window.Seconds(), ic.stale,
+				ic.takeover.Total().Seconds()*1000)
+			r.Charts = append(r.Charts,
+				"lease cache + crash-time invalidation, crash at 6s, restart at 13s\n"+
+					charts.TimeChart(ic.m, chartW, chartH),
+				"lease cache without invalidation, same fault plan\n"+
+					charts.TimeChart(sc.m, chartW, chartH))
+		},
 	}
-	inval, iset, ifs := cells[0].m, cells[0].set, cells[0].fs
-	stale, sset, sfs := cells[1].m, cells[1].set, cells[1].fs
-	r.Sets = append(r.Sets, iset, sset)
-	staleWindow := func(f *shard.FS) time.Duration {
-		w := f.LastStaleAt - f.Takeovers[0].CrashAt
-		if f.StaleReads == 0 || w < 0 {
-			return 0
-		}
-		return w
-	}
-	_, _, _, epochDrops := ifs.CacheStats()
-	r.row("invalidate: takeover latency", ifs.Takeovers[0].Total().Seconds()*1000, "ms",
-		fmt.Sprintf("detect + %d entries replayed", ifs.Takeovers[0].Entries))
-	r.row("invalidate: stale reads", float64(ifs.StaleReads), "", "epoch check on every hit")
-	r.row("invalidate: stale-read window", staleWindow(ifs).Seconds(), "s", "")
-	r.row("invalidate: leases bulk-dropped", float64(epochDrops), "", "epoch moves observed by clients")
-	r.row("no invalidate: takeover latency", sfs.Takeovers[0].Total().Seconds()*1000, "ms", "")
-	r.row("no invalidate: stale reads", float64(sfs.StaleReads), "",
-		"no serving change can revoke its predecessor's leases")
-	r.row("no invalidate: stale-read window", staleWindow(sfs).Seconds(), "s",
-		fmt.Sprintf("takeover and failback each leak up to the %s lease TTL", 8*time.Second))
-	r.finding("failover without lease invalidation leaks staleness: neither the "+
-		"promoted backup (crash at 6s) nor the restarted primary (failback at 13s) "+
-		"can revoke leases its predecessor granted, so mutations they serve leave "+
-		"clients trusting dead leases — a %.1fs stale window, %d stale reads, each "+
-		"leak bounded only by the 8s lease TTL. Crash-time epoch invalidation "+
-		"shrinks the window to %.1fs (%d stale reads) at the same %.0fms takeover "+
-		"latency",
-		staleWindow(sfs).Seconds(), sfs.StaleReads,
-		staleWindow(ifs).Seconds(), ifs.StaleReads,
-		ifs.Takeovers[0].Total().Seconds()*1000)
-	r.Charts = append(r.Charts,
-		"lease cache + crash-time invalidation, crash at 6s, restart at 13s\n"+
-			charts.TimeChart(inval, chartW, chartH),
-		"lease cache without invalidation, same fault plan\n"+
-			charts.TimeChart(stale, chartW, chartH))
-	return r
+}
+
+// e22cell is one E22 run: stat throughput, hit rate and lease traffic.
+type e22cell struct {
+	rate, hr                   float64
+	revocations, grants, stale int64
+}
+
+// e23cell is one E23 run: stat throughput, hit rate and stale reads.
+type e23cell struct {
+	rate, hit float64
+	stale     int64
+}
+
+// e24cell is one E24 run: its measurement, the first takeover, and the
+// staleness it leaked — stale reads, the window from the crash to the
+// last of them, and the leases clients dropped on an epoch move.
+type e24cell struct {
+	m          *results.Measurement
+	takeover   shard.Takeover
+	stale      int64
+	window     time.Duration
+	epochDrops int64
 }

@@ -1,8 +1,9 @@
 // Package experiments regenerates the evaluation of the thesis (Chapter
-// 4): every table and figure has a function here that builds the
-// corresponding simulated environment, runs DMetabench on it and reports
-// the numbers and shapes the paper discusses. cmd/experiments prints the
-// reports; the root bench_test.go exposes each as a testing.B benchmark.
+// 4): every table and figure is an experiment declared as data here —
+// the cells that build and run its simulated environments, and the
+// report of the numbers and shapes the paper discusses (cells.go).
+// cmd/experiments prints the reports; the root bench_test.go exposes
+// each as a testing.B benchmark.
 package experiments
 
 import (
@@ -10,7 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"dmetabench/internal/charts"
+	"dmetabench/internal/cluster"
 	"dmetabench/internal/lustre"
 	"dmetabench/internal/nfs"
 	"dmetabench/internal/results"
@@ -53,6 +54,20 @@ func newLustreFS(k *sim.Kernel, name string, cfg lustre.Config) *lustre.FS {
 	return lustre.New(k, name, cfg)
 }
 
+// shardFS, nfsFS and lustreFS are the same constructors as a measure's
+// fs.
+func shardFS(cfg shard.Config) func(*sim.Kernel, *cluster.Cluster) *shard.FS {
+	return func(k *sim.Kernel, _ *cluster.Cluster) *shard.FS { return newShardFS(k, "meta", cfg) }
+}
+
+func nfsFS(cfg nfs.Config) func(*sim.Kernel, *cluster.Cluster) *nfs.FS {
+	return func(k *sim.Kernel, _ *cluster.Cluster) *nfs.FS { return newNFSFS(k, "home", cfg) }
+}
+
+func lustreFS(cfg lustre.Config) func(*sim.Kernel, *cluster.Cluster) *lustre.FS {
+	return func(k *sim.Kernel, _ *cluster.Cluster) *lustre.FS { return newLustreFS(k, "scratch", cfg) }
+}
+
 // Row is one reported metric.
 type Row struct {
 	Name  string
@@ -71,8 +86,6 @@ type Report struct {
 	Charts []string
 	// Findings summarizes the shape comparison against the paper.
 	Findings []string
-	// Sets holds the raw result sets for further processing.
-	Sets []*results.Set
 	// Volatile marks a report whose values are real-time measurements
 	// of the host machine (E02) rather than deterministic virtual-time
 	// results. The committed EXPERIMENTS.md replaces volatile values
@@ -129,61 +142,57 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Experiment pairs an id with its runner. Cells is the number of
-// independent execution cells the experiment decomposes into — the
-// parallelism it exposes to the par worker pool (1 = inherently serial;
-// it still runs concurrently with other experiments in the suite).
+// Experiment is one entry of the registry: a spec with its result
+// type erased. Cells is the number of cells it declares — the
+// parallelism it exposes to the par worker pool; every experiment
+// still runs concurrently with the others in the suite.
 type Experiment struct {
 	ID    string
 	Run   func() *Report
 	Cells int
+	// names are the declared cell names, in cell order.
+	names []string
 }
 
 // All lists every experiment in evaluation order.
 func All() []Experiment {
 	return []Experiment{
-		{"E01", E01SyscallCounts, 2},
-		{"E02", E02HarnessOverhead, 1}, // real-time: must not share the host
-		{"E03", E03CPUHogCOV, 2},
-		{"E04", E04SnapshotNoise, 2},
-		{"E05", E05ConsistencyPoints, 2},
-		{"E06", E06WriteInterference, 2},
-		{"E07", E07CreateScaling, 16}, // 2 file systems x 8 sweep points
-		{"E08", E08LargeDirectories, 11},
-		{"E09", E09AllocationBursts, 1},
-		{"E10", E10PriorityScheduling, 1},
-		{"E11", E11SMPScaling, 12}, // 2 file systems x 6 PPN points
-		{"E12", E12LatencySweep, 15},
-		{"E13", E13NamespaceAggregation, 17}, // probe + 2 sweeps x 8 points
-		{"E14", E14AFS, 6},
-		{"E15", E15WritebackCaching, 2},
-		{"E16", E16ShardScaling, 5},
-		{"E17", E17ShardSkew, 4},
-		{"E18", E18CrossShard, 2},
-		{"E19", E19FailoverTimeline, 2},
-		{"E20", E20ReplicationOverhead, 6},
-		{"E21", E21RecoveryScaling, 4},
-		{"E22", E22LeaseTTL, 4},
-		{"E23", E23CacheModes, 13},
-		{"E24", E24FailoverCachedLoad, 2},
-		{"E25", E25SplitScaling, 10},
-		{"E26", E26SplitStorm, 3},
-		{"E27", E27SplitRouting, 7},
-		{"E28", E28BackendProfile, 12},
-		{"E29", E29CompactionTimeline, 3},
-		{"E30", E30GroupCommit, 9},
-		{"E31", E31AggregateDay, 2},
-		{"E32", E32ForegroundTail, 3},
-		{"E33", E33CapacityPressure, 3},
-		{"E34", E34DomainedServers, 6}, // 2 file systems x (legacy, dom-w1, dom-w8)
-		{"E35", E35FilerAtScale, 2},    // quiet + loaded day
+		define(e01SyscallCounts),
+		define(e02HarnessOverhead),
+		define(e03CPUHogCOV),
+		define(e04SnapshotNoise),
+		define(e05ConsistencyPoints),
+		define(e06WriteInterference),
+		define(e07CreateScaling),
+		define(e08LargeDirectories),
+		define(e09AllocationBursts),
+		define(e10PriorityScheduling),
+		define(e11SMPScaling),
+		define(e12LatencySweep),
+		define(e13NamespaceAggregation),
+		define(e14AFS),
+		define(e15WritebackCaching),
+		define(e16ShardScaling),
+		define(e17ShardSkew),
+		define(e18CrossShard),
+		define(e19FailoverTimeline),
+		define(e20ReplicationOverhead),
+		define(e21RecoveryScaling),
+		define(e22LeaseTTL),
+		define(e23CacheModes),
+		define(e24FailoverCachedLoad),
+		define(e25SplitScaling),
+		define(e26SplitStorm),
+		define(e27SplitRouting),
+		define(e28BackendProfile),
+		define(e29CompactionTimeline),
+		define(e30GroupCommit),
+		define(e31AggregateDay),
+		define(e32ForegroundTail),
+		define(e33CapacityPressure),
+		define(e34DomainedServers),
+		define(e35FilerAtScale),
 	}
-}
-
-// scaleChart renders a perf-vs-procs comparison for the report.
-func scaleChart(title string, inputs []charts.LabeledSeries) string {
-	c := charts.VsProcesses(inputs, 64, 10)
-	return title + "\n" + c
 }
 
 const (
@@ -201,16 +210,11 @@ func stoneOf(set *results.Set, op string, nodes, ppn int) float64 {
 	return m.Averages().Stonewall
 }
 
-// wallOf returns the wall-clock throughput, which uses exact completion
-// times and is therefore meaningful even for runs shorter than one
-// sampling interval (where the stonewall average floors at the grid).
-func wallOf(set *results.Set, op string, nodes, ppn int) float64 {
-	m := set.Find(op, nodes, ppn)
-	if m == nil {
-		return 0
-	}
-	return m.Averages().WallClock
-}
+// rate returns a measurement's wall-clock throughput, which uses exact
+// completion times and is therefore meaningful even for runs shorter
+// than one sampling interval (where the stonewall average floors at the
+// grid).
+func rate(m *results.Measurement) float64 { return m.Averages().WallClock }
 
 // windowThroughput averages the per-interval throughput of a measurement
 // between from and to.

@@ -88,44 +88,47 @@ func (c *nullClient) ReadDir(p string) ([]fs.DirEntry, error) {
 }
 func (c *nullClient) DropCaches() {}
 
-// E01SyscallCounts reproduces the dtrace finding of §4.2.1: a high-level
+// e01SyscallCounts reproduces the dtrace finding of §4.2.1: a high-level
 // file object API issues an extra stat per created file compared with the
 // thin OS-call wrapper. We count client operations for both styles.
-func E01SyscallCounts() *Report {
-	r := &Report{ID: "E01", Title: "API-level operation counts per create",
-		PaperRef: "§4.2.1 (dtrace op counting)"}
+func e01SyscallCounts() spec[*fs.CountingClient] {
 	const n = 10000
-
-	// Two independent cells, one per API style, each over its own
-	// namespace and counter.
-	create := []func(fs.Client, string) error{fs.CreateHighLevel, fs.CreateDirect}
-	cells, err := parCells("E01", []string{"high-level", "direct"}, func(i int) (*fs.CountingClient, error) {
-		c := fs.NewCountingClient(newNullClient())
-		for j := 0; j < n; j++ {
-			if err := create[i](c, fmt.Sprintf("/f%d", j)); err != nil {
-				return nil, err
+	// One cell per API style, each over its own namespace and counter.
+	count := func(create func(fs.Client, string) error) func() (*fs.CountingClient, error) {
+		return func() (*fs.CountingClient, error) {
+			c := fs.NewCountingClient(newNullClient())
+			for j := 0; j < n; j++ {
+				if err := create(c, fmt.Sprintf("/f%d", j)); err != nil {
+					return nil, err
+				}
 			}
+			return c, nil
 		}
-		return c, nil
-	})
-	if err != nil {
-		return r.fail(err)
 	}
-	naive, direct := cells[0], cells[1]
-	r.row("high-level: stat ops", float64(naive.N.Get(fs.OpStat)), "calls", "extra stat per file, like Python file objects")
-	r.row("high-level: open ops", float64(naive.N.Get(fs.OpOpen)), "calls", "")
-	r.row("high-level: create ops", float64(naive.N.Get(fs.OpCreate)), "calls", "")
-	r.row("high-level: total ops", float64(naive.N.Total()), "calls", "")
-	r.row("direct: total ops", float64(direct.N.Total()), "calls", "os.open-style thin wrapper")
-	ratio := float64(naive.N.Total()) / float64(direct.N.Total())
-	r.row("ops amplification", ratio, "x", "")
-	r.finding("paper: Python file objects issued equal counts of fstat/open/close; "+
-		"here the high-level path issues %.0fx the operations of the direct path",
-		ratio)
-	return r
+	return spec[*fs.CountingClient]{
+		id: "E01", title: "API-level operation counts per create",
+		ref: "§4.2.1 (dtrace op counting)",
+		cells: []cell[*fs.CountingClient]{
+			{"high-level", count(fs.CreateHighLevel)},
+			{"direct", count(fs.CreateDirect)},
+		},
+		report: func(r *Report, out []*fs.CountingClient) {
+			naive, direct := out[0], out[1]
+			r.row("high-level: stat ops", float64(naive.N.Get(fs.OpStat)), "calls", "extra stat per file, like Python file objects")
+			r.row("high-level: open ops", float64(naive.N.Get(fs.OpOpen)), "calls", "")
+			r.row("high-level: create ops", float64(naive.N.Get(fs.OpCreate)), "calls", "")
+			r.row("high-level: total ops", float64(naive.N.Total()), "calls", "")
+			r.row("direct: total ops", float64(direct.N.Total()), "calls", "os.open-style thin wrapper")
+			ratio := float64(naive.N.Total()) / float64(direct.N.Total())
+			r.row("ops amplification", ratio, "x", "")
+			r.finding("paper: Python file objects issued equal counts of fstat/open/close; "+
+				"here the high-level path issues %.0fx the operations of the direct path",
+				ratio)
+		},
+	}
 }
 
-// E02HarnessOverhead reproduces Table 4.2 (Python-vs-C loop overhead):
+// e02HarnessOverhead reproduces Table 4.2 (Python-vs-C loop overhead):
 // the fixed per-operation cost the benchmark harness adds over a raw
 // create loop, measured in real time on a zero-cost file system.
 //
@@ -133,57 +136,62 @@ func E01SyscallCounts() *Report {
 // host CPU, so its two loops must run back-to-back on one goroutine;
 // splitting them into concurrent cells would let pool neighbors steal
 // cycles from the thing being measured. The report is Volatile anyway.
-func E02HarnessOverhead() *Report {
-	r := &Report{ID: "E02", Title: "Harness overhead vs. raw loop",
-		PaperRef: "Table 4.2 (Python vs. C, 200k creates)", Volatile: true}
+func e02HarnessOverhead() spec[[2]time.Duration] {
 	const n = 200000
-
-	// Raw loop: direct namespace creates. Path construction matches the
-	// harness plugins' byte-append builder so the delta isolates the
-	// harness machinery (context, progress counter, deadline checks)
-	// rather than string formatting.
-	rawClient := newNullClient()
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		name := "/" + strconv.Itoa(i)
-		if err := rawClient.Create(name); err != nil {
-			return r.fail(err)
+	loops := func() (d [2]time.Duration, err error) {
+		// Raw loop: direct namespace creates. Path construction matches
+		// the harness plugins' byte-append builder so the delta isolates
+		// the harness machinery (context, progress counter, deadline
+		// checks) rather than string formatting.
+		rawClient := newNullClient()
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			name := "/" + strconv.Itoa(i)
+			if err := rawClient.Create(name); err != nil {
+				return d, err
+			}
 		}
-	}
-	rawDur := time.Since(start)
+		d[0] = time.Since(start)
 
-	// Harness loop: the MakeFiles plugin with context, counter and
-	// deadline checks, as used in every measurement.
-	hClient := newNullClient()
-	ctx := &core.Ctx{
-		FS:      hClient,
-		Workers: 1,
-		Dir:     "/bench",
-		Params:  core.Params{ProblemSize: n},
-		Now:     func() time.Duration { return 0 },
+		// Harness loop: the MakeFiles plugin with context, counter and
+		// deadline checks, as used in every measurement.
+		ctx := &core.Ctx{
+			FS:      newNullClient(),
+			Workers: 1,
+			Dir:     "/bench",
+			Params:  core.Params{ProblemSize: n},
+			Now:     func() time.Duration { return 0 },
+		}
+		plugin := core.MakeFiles{}
+		if err := plugin.Prepare(ctx); err != nil {
+			return d, fmt.Errorf("prepare: %w", err)
+		}
+		start = time.Now()
+		if err := plugin.DoBench(ctx); err != nil {
+			return d, fmt.Errorf("dobench: %w", err)
+		}
+		d[1] = time.Since(start)
+		return d, nil
 	}
-	plugin := core.MakeFiles{}
-	if err := plugin.Prepare(ctx); err != nil {
-		return r.fail(fmt.Errorf("prepare: %w", err))
+	return spec[[2]time.Duration]{
+		id: "E02", title: "Harness overhead vs. raw loop",
+		ref: "Table 4.2 (Python vs. C, 200k creates)", volatile: true,
+		cells: []cell[[2]time.Duration]{{"loops", loops}},
+		report: func(r *Report, out [][2]time.Duration) {
+			rawDur, harnessDur := out[0][0], out[0][1]
+			r.row("raw loop", rawDur.Seconds(), "s", fmt.Sprintf("%d creates", n))
+			r.row("harness loop", harnessDur.Seconds(), "s", "MakeFiles plugin + progress counter")
+			perOp := float64(harnessDur-rawDur) / float64(n)
+			r.row("overhead per op", perOp, "ns", "fixed, amortizes at file system speeds")
+			pct := 100 * float64(harnessDur-rawDur) / float64(rawDur)
+			if pct < 5 && pct > -5 {
+				r.finding("paper measured 0.62s (C) vs 2.1s (Python) for 200k creates — a "+
+					"fixed 6.9µs/op interpreter tax; the Go harness is within measurement "+
+					"noise of the raw loop (%.1f%%), so comparative results are unaffected", pct)
+			} else {
+				r.finding("paper measured 0.62s (C) vs 2.1s (Python); the Go harness adds "+
+					"%.0f ns/op (%.1f%%) over the raw loop", perOp, pct)
+			}
+		},
 	}
-	start = time.Now()
-	if err := plugin.DoBench(ctx); err != nil {
-		return r.fail(fmt.Errorf("dobench: %w", err))
-	}
-	harnessDur := time.Since(start)
-
-	r.row("raw loop", rawDur.Seconds(), "s", fmt.Sprintf("%d creates", n))
-	r.row("harness loop", harnessDur.Seconds(), "s", "MakeFiles plugin + progress counter")
-	perOp := float64(harnessDur-rawDur) / float64(n)
-	r.row("overhead per op", perOp, "ns", "fixed, amortizes at file system speeds")
-	pct := 100 * float64(harnessDur-rawDur) / float64(rawDur)
-	if pct < 5 && pct > -5 {
-		r.finding("paper measured 0.62s (C) vs 2.1s (Python) for 200k creates — a "+
-			"fixed 6.9µs/op interpreter tax; the Go harness is within measurement "+
-			"noise of the raw loop (%.1f%%), so comparative results are unaffected", pct)
-	} else {
-		r.finding("paper measured 0.62s (C) vs 2.1s (Python); the Go harness adds "+
-			"%.0f ns/op (%.1f%%) over the raw loop", perOp, pct)
-	}
-	return r
 }

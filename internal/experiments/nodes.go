@@ -15,131 +15,112 @@ import (
 	"dmetabench/internal/sim"
 )
 
-// E10PriorityScheduling reproduces §4.4: under CPU contention the OS
+// e10PriorityScheduling reproduces §4.4: under CPU contention the OS
 // scheduling priority of the benchmark process determines its metadata
 // throughput. Two processes run cached-stat loops on a one-core node at
 // different niceness; a burst of mid-priority compute load starves the
 // low-priority process only.
-func E10PriorityScheduling() *Report {
-	r := &Report{ID: "E10", Title: "Process priority vs. metadata throughput",
-		PaperRef: "§4.4"}
-	k := sim.New(1010)
-	cl := cluster.New(k, cluster.Config{Nodes: 1, Cores: 1, SyscallTime: 3 * time.Microsecond})
-	node := cl.Nodes[0]
-	fsys := localfs.New(k, node, localfs.DefaultConfig())
-
+func e10PriorityScheduling() spec[[2]e10res] {
 	const window = 6 * time.Second
 	hogFrom, hogTo := 2*time.Second, 4*time.Second
-	node.StartCPUHog(4, 5, hogFrom, hogTo-hogFrom)
-
-	type res struct {
-		total      int64
-		during     int64
-		atHogStart int64
-		err        error
-	}
-	run := func(name string, nice int, out *res) {
-		k.Spawn(name, func(p *sim.Proc) {
-			c := fsys.NewClient(node, p)
-			if out.err = c.Create("/" + name); out.err != nil {
-				return
-			}
-			for p.Now() < window {
-				if _, out.err = c.Stat("/" + name); out.err != nil {
+	// One cell: both processes contend for the same core, so they share
+	// one kernel.
+	pair := func() (out [2]e10res, err error) {
+		k := sim.New(1010)
+		cl := cluster.New(k, cluster.Config{Nodes: 1, Cores: 1, SyscallTime: 3 * time.Microsecond})
+		node := cl.Nodes[0]
+		fsys := localfs.New(k, node, localfs.DefaultConfig())
+		node.StartCPUHog(4, 5, hogFrom, hogTo-hogFrom)
+		run := func(name string, nice int, out *e10res) {
+			k.Spawn(name, func(p *sim.Proc) {
+				c := fsys.NewClient(node, p)
+				if out.err = c.Create("/" + name); out.err != nil {
 					return
 				}
-				node.ExecNice(p, 2*time.Microsecond, nice)
-				out.total++
-				if p.Now() <= hogFrom {
-					out.atHogStart = out.total
+				for p.Now() < window {
+					if _, out.err = c.Stat("/" + name); out.err != nil {
+						return
+					}
+					node.ExecNice(p, 2*time.Microsecond, nice)
+					out.total++
+					if p.Now() > hogFrom && p.Now() <= hogTo {
+						out.during++
+					}
 				}
-				if p.Now() > hogFrom && p.Now() <= hogTo {
-					out.during++
-				}
-			}
-		})
+			})
+		}
+		run("nice0", 0, &out[0])
+		run("nice10", 10, &out[1])
+		kerr := k.Run()
+		return out, cmp.Or(kerr, out[0].err, out[1].err)
 	}
-	var hi, lo res
-	run("nice0", 0, &hi)
-	run("nice10", 10, &lo)
-	kerr := k.Run()
-	if err := cmp.Or(kerr, hi.err, lo.err); err != nil {
-		return r.fail(err)
-	}
-	hogSecs := (hogTo - hogFrom).Seconds()
-	r.row("nice 0 total ops", float64(hi.total), "ops", "6s window")
-	r.row("nice 10 total ops", float64(lo.total), "ops", "")
-	r.row("nice 0 ops/s during load", float64(hi.during)/hogSecs, "ops/s", "t=2..4s, 4 hogs at nice 5")
-	r.row("nice 10 ops/s during load", float64(lo.during)/hogSecs, "ops/s", "")
-	ratio := float64(hi.during+1) / float64(lo.during+1)
-	r.row("priority advantage during load", ratio, "x", "")
-	r.finding("paper: metadata throughput follows CPU scheduling priority under "+
-		"contention; here the nice-0 process sustains %.0f ops/s while the "+
-		"nice-10 process gets %.0f ops/s behind the nice-5 load",
-		float64(hi.during)/hogSecs, float64(lo.during)/hogSecs)
-	return r
-}
-
-// e11PPNs are the intra-node process counts of the SMP sweep.
-var e11PPNs = map[int]bool{1: true, 2: true, 4: true, 8: true, 16: true, 32: true}
-
-// runSMP sweeps intra-node process counts with one cell per PPN point,
-// each on its own identically-seeded kernel (core.ParallelRunner).
-func runSMP(mk func(k *sim.Kernel) core.FileSystem, seed int64, label string) (*results.Set, error) {
-	pr := &core.ParallelRunner{
-		New: func(k *sim.Kernel) *core.Runner {
-			return &core.Runner{
-				Cluster:      cluster.NewSMP(k, 64),
-				FS:           mk(k),
-				Params:       core.Params{ProblemSize: 1200, WorkDir: "/bench"},
-				SlotsPerNode: 32,
-				Plugins:      []core.Plugin{core.MakeFiles{}},
-				Filter: func(c core.Combo) bool {
-					return c.Nodes == 1 && e11PPNs[c.PPN]
-				},
-			}
+	return spec[[2]e10res]{
+		id: "E10", title: "Process priority vs. metadata throughput", ref: "§4.4",
+		cells: []cell[[2]e10res]{{"nice-pair", pair}},
+		report: func(r *Report, out [][2]e10res) {
+			hi, lo := out[0][0], out[0][1]
+			hogSecs := (hogTo - hogFrom).Seconds()
+			r.row("nice 0 total ops", float64(hi.total), "ops", "6s window")
+			r.row("nice 10 total ops", float64(lo.total), "ops", "")
+			r.row("nice 0 ops/s during load", float64(hi.during)/hogSecs, "ops/s", "t=2..4s, 4 hogs at nice 5")
+			r.row("nice 10 ops/s during load", float64(lo.during)/hogSecs, "ops/s", "")
+			ratio := float64(hi.during+1) / float64(lo.during+1)
+			r.row("priority advantage during load", ratio, "x", "")
+			r.finding("paper: metadata throughput follows CPU scheduling priority under "+
+				"contention; here the nice-0 process sustains %.0f ops/s while the "+
+				"nice-10 process gets %.0f ops/s behind the nice-5 load",
+				float64(hi.during)/hogSecs, float64(lo.during)/hogSecs)
 		},
-		Seed:  seed,
-		Label: label,
 	}
-	return runSet(pr)
 }
 
-// E11SMPScaling reproduces §4.5.3: file creation on a large SMP partition
+// e10res is one E10 process's op counts: over the window and during
+// the compute load.
+type e10res struct {
+	total, during int64
+	err           error
+}
+
+// e11Plan lists the SMP sweep's (nodes, ppn) points in plan order: one
+// node, 1 to 32 processes.
+var e11Plan = [][2]int{{1, 1}, {1, 2}, {1, 4}, {1, 8}, {1, 16}, {1, 32}}
+
+// e11SMPScaling reproduces §4.5.3: file creation on a large SMP partition
 // scales with intra-node process count on NFS but not on CXFS, whose
 // client-side metadata path serializes on the node token.
-func E11SMPScaling() *Report {
-	r := &Report{ID: "E11", Title: "Large-SMP intra-node scaling: CXFS vs NFS",
-		PaperRef: "§4.5.3"}
-	sets, err := parCells("E11", []string{"nfs", "cxfs"}, func(i int) (*results.Set, error) {
-		if i == 0 {
-			return runSMP(func(k *sim.Kernel) core.FileSystem {
-				return newNFSFS(k, "home", nfs.DefaultConfig())
-			}, 1111, "E11/nfs")
-		}
-		return runSMP(func(k *sim.Kernel) core.FileSystem {
+func e11SMPScaling() spec[*results.Measurement] {
+	// One cell per PPN point and file system, each on a fresh kernel
+	// seeded per file system.
+	params := core.Params{ProblemSize: 1200, WorkDir: "/bench"}
+	plugins := []core.Plugin{core.MakeFiles{}}
+	nfsCells := measure[*nfs.FS]{seed: 1111, smp: 64, fs: nfsFS(nfs.DefaultConfig()),
+		plugins: plugins, params: params}.sweep("nfs", e11Plan)
+	cxfsCells := measure[*cxfs.FS]{seed: 1112, smp: 64,
+		fs: func(k *sim.Kernel, _ *cluster.Cluster) *cxfs.FS {
 			return cxfs.New(k, "cxfs", cxfs.DefaultConfig())
-		}, 1112, "E11/cxfs")
-	})
-	if err != nil {
-		return r.fail(err)
+		},
+		plugins: plugins, params: params}.sweep("cxfs", e11Plan)
+	return spec[*results.Measurement]{
+		id: "E11", title: "Large-SMP intra-node scaling: CXFS vs NFS", ref: "§4.5.3",
+		cells: append(nfsCells, cxfsCells...),
+		report: func(r *Report, out []*results.Measurement) {
+			nfsSet := &results.Set{Measurements: out[:len(e11Plan)]}
+			cxSet := &results.Set{Measurements: out[len(e11Plan):]}
+			for _, ppn := range []int{1, 8, 32} {
+				r.row(fmt.Sprintf("NFS creates/s @ ppn %d", ppn), stoneOf(nfsSet, "MakeFiles", 1, ppn), "ops/s", "")
+				r.row(fmt.Sprintf("CXFS creates/s @ ppn %d", ppn), stoneOf(cxSet, "MakeFiles", 1, ppn), "ops/s", "")
+			}
+			nfs1 := stoneOf(nfsSet, "MakeFiles", 1, 1)
+			nfs32 := stoneOf(nfsSet, "MakeFiles", 1, 32)
+			cx1 := stoneOf(cxSet, "MakeFiles", 1, 1)
+			cx32 := stoneOf(cxSet, "MakeFiles", 1, 32)
+			r.finding("paper: on the 512-core Altix partition NFS gained from intra-node "+
+				"parallelism while CXFS stayed flat; here NFS scales %.1fx and CXFS %.1fx "+
+				"from 1 to 32 processes", nfs32/nfs1, cx32/cx1)
+			r.Charts = append(r.Charts, charts.VsProcesses([]charts.LabeledSeries{
+				{Label: "MakeFiles on NFS (1 SMP node)", Points: nfsSet.ScaleSeries("MakeFiles")},
+				{Label: "MakeFiles on CXFS (1 SMP node)", Points: cxSet.ScaleSeries("MakeFiles")},
+			}, chartW, chartH))
+		},
 	}
-	nfsSet, cxSet := sets[0], sets[1]
-	r.Sets = append(r.Sets, nfsSet, cxSet)
-	for _, ppn := range []int{1, 8, 32} {
-		r.row(fmt.Sprintf("NFS creates/s @ ppn %d", ppn), stoneOf(nfsSet, "MakeFiles", 1, ppn), "ops/s", "")
-		r.row(fmt.Sprintf("CXFS creates/s @ ppn %d", ppn), stoneOf(cxSet, "MakeFiles", 1, ppn), "ops/s", "")
-	}
-	nfs1 := stoneOf(nfsSet, "MakeFiles", 1, 1)
-	nfs32 := stoneOf(nfsSet, "MakeFiles", 1, 32)
-	cx1 := stoneOf(cxSet, "MakeFiles", 1, 1)
-	cx32 := stoneOf(cxSet, "MakeFiles", 1, 32)
-	r.finding("paper: on the 512-core Altix partition NFS gained from intra-node "+
-		"parallelism while CXFS stayed flat; here NFS scales %.1fx and CXFS %.1fx "+
-		"from 1 to 32 processes", nfs32/nfs1, cx32/cx1)
-	r.Charts = append(r.Charts, charts.VsProcesses([]charts.LabeledSeries{
-		{Label: "MakeFiles on NFS (1 SMP node)", Points: nfsSet.ScaleSeries("MakeFiles")},
-		{Label: "MakeFiles on CXFS (1 SMP node)", Points: cxSet.ScaleSeries("MakeFiles")},
-	}, chartW, chartH))
-	return r
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // cheapIDs is a fast cross-section of the suite used by the parallel
-// tests: plain parCells fan-out (E01), probe pairs (E18), a sweep with
-// shared state analyzed at merge time (E21) and a ParallelRunner sweep
-// (E11 is too slow here; E16 covers the per-cell-kernel discipline).
+// tests: plain probe cells (E01), probe pairs (E18), a sweep analyzed
+// at report time (E21) and a sweep of measure cells on one seed (E16).
 var cheapIDs = map[string]bool{"E01": true, "E18": true, "E21": true, "E16": true}
 
 func cheapExperiments(t *testing.T) []Experiment {
@@ -55,25 +54,31 @@ func TestReportsByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDeclaredCellCounts checks Experiment.Cells (surfaced by
-// `cmd/experiments -list`) against the cells the experiment actually
-// dispatches, counted via the per-cell timing log.
+// TestDeclaredCellCounts checks the registry without running it:
+// every experiment declares at least one cell, Cells counts them, and
+// the cell names — the -cells labels — are non-empty and unique within
+// the experiment. The sweeps once nested inside a cell are flat cells.
 func TestDeclaredCellCounts(t *testing.T) {
-	old := par.Workers()
-	defer par.SetWorkers(old)
-	par.SetWorkers(4)
-
-	for _, e := range cheapExperiments(t) {
-		par.DrainTimings()
-		e.Run()
-		got := 0
-		for _, tm := range par.DrainTimings() {
-			if strings.HasPrefix(tm.Label, e.ID+"/") {
-				got++
-			}
+	want := map[string]int{"E07": 16, "E11": 12, "E13": 17,
+		"A01": 1, "E02": 1, "E09": 1, "E10": 1}
+	ids := map[string]bool{}
+	for _, e := range append(All(), Ablations()...) {
+		if ids[e.ID] {
+			t.Errorf("%s: registered twice", e.ID)
 		}
-		if got != e.Cells {
-			t.Errorf("%s: dispatched %d cells, declares Cells=%d", e.ID, got, e.Cells)
+		ids[e.ID] = true
+		if e.Cells < 1 || e.Cells != len(e.names) {
+			t.Errorf("%s: Cells = %d for %d declared cells", e.ID, e.Cells, len(e.names))
+		}
+		if n, ok := want[e.ID]; ok && e.Cells != n {
+			t.Errorf("%s: %d cells, want %d", e.ID, e.Cells, n)
+		}
+		seen := map[string]bool{}
+		for _, n := range e.names {
+			if n == "" || seen[n] {
+				t.Errorf("%s: cell name %q empty or repeated", e.ID, n)
+			}
+			seen[n] = true
 		}
 	}
 }

@@ -37,218 +37,145 @@ func e16SubtreeAssign(n int) map[string]int {
 	return m
 }
 
-// shardRun is one Runner measurement on a sharded FS: nodes x ppn
-// workers running plugin in dir. A window times the run; a hook runs in
-// the master at bench start.
-type shardRun struct {
-	nodes, ppn int
-	dir        string
-	plugin     core.Plugin
-	problem    int
-	window     time.Duration
-	hook       func(fsys *shard.FS, mp *sim.Proc)
-}
-
-// wideRun is the 16-node x 4-process shape of the shard sweeps: 64
+// wide is the 16-node x 4-process shape of the shard sweeps: 64
 // workers, enough demand to oversubscribe a small shard count.
-func wideRun(plugin core.Plugin, problem int) shardRun {
-	return shardRun{nodes: 16, ppn: 4, dir: "/", plugin: plugin, problem: problem}
+func wide(seed int64, cfg shard.Config, plugin core.Plugin, problem int) measure[*shard.FS] {
+	return measure[*shard.FS]{seed: seed, nodes: 16, ppn: 4, fs: shardFS(cfg),
+		plugins: []core.Plugin{plugin}, params: core.Params{ProblemSize: problem, WorkDir: "/"}}
 }
 
-// run executes the measurement on a fresh kernel and returns the result
-// set plus the FS for counter readout.
-func (sr shardRun) run(seed int64, cfg shard.Config) (*results.Set, *shard.FS, error) {
-	k := sim.New(seed)
-	cl := cluster.New(k, cluster.DefaultConfig(sr.nodes))
-	fsys := newShardFS(k, "meta", cfg)
-	r := &core.Runner{
-		Cluster:      cl,
-		FS:           fsys,
-		Params:       core.Params{ProblemSize: sr.problem, TimeLimit: sr.window, WorkDir: sr.dir},
-		SlotsPerNode: sr.ppn,
-		Plugins:      []core.Plugin{sr.plugin},
-		Filter:       func(c core.Combo) bool { return c.Nodes == sr.nodes && c.PPN == sr.ppn },
-	}
-	if sr.hook != nil {
-		r.BenchStartHook = func(mp *sim.Proc, _ core.MeasurementInfo) { sr.hook(fsys, mp) }
-	}
-	set, err := runSet(r)
-	return set, fsys, err
-}
-
-// find returns the run's measurement in set.
-func (sr shardRun) find(set *results.Set) *results.Measurement {
-	return set.Find(sr.plugin.Name(), sr.nodes, sr.ppn)
-}
-
-// rate returns the run's wall-clock throughput in set.
-func (sr shardRun) rate(set *results.Set) float64 {
-	return wallOf(set, sr.plugin.Name(), sr.nodes, sr.ppn)
-}
-
-// E16ShardScaling sweeps the shard count 1→16 under a fixed 32-process
+// e16ShardScaling sweeps the shard count 1→16 under a fixed 32-process
 // create load: throughput scales while per-shard queueing dominates and
 // flattens once the servers are no longer the bottleneck while every
 // directory mutation still pays a broadcast that grows with the shard
 // count.
-func E16ShardScaling() *Report {
-	r := &Report{ID: "E16", Title: "Shard-count scaling of create throughput",
-		PaperRef: "beyond §4.3 (HopsFS/MetaFlow direction)"}
-	load := wideRun(e16Workload(0), 500)
+func e16ShardScaling() spec[e16cell] {
 	shardsSwept := []int{1, 2, 4, 8, 16}
 	// One cell per shard count. One seed for every sweep point: the only
 	// variable between cells is the shard count, not the storage service
 	// jitter.
-	type e16cell struct {
-		set   *results.Set
-		rate  float64
-		cross int64
+	var cells []cell[e16cell]
+	for _, n := range shardsSwept {
+		cells = append(cells, read(fmt.Sprintf("%dshards", n),
+			wide(1600, shard.DefaultConfig(n), e16Workload(0), 500),
+			func(m *results.Measurement, fsys *shard.FS) e16cell {
+				return e16cell{rate(m), fsys.CrossCount}
+			}))
 	}
-	names := make([]string, len(shardsSwept))
-	for i, n := range shardsSwept {
-		names[i] = fmt.Sprintf("%dshards", n)
+	return spec[e16cell]{
+		id: "E16", title: "Shard-count scaling of create throughput",
+		ref:   "beyond §4.3 (HopsFS/MetaFlow direction)",
+		cells: cells,
+		report: func(r *Report, out []e16cell) {
+			var xs, rates []float64
+			best := 0
+			for i, n := range shardsSwept {
+				rates = append(rates, out[i].rate)
+				xs = append(xs, float64(n))
+				r.row(fmt.Sprintf("creates/s @ %2d shards", n), rates[i], "ops/s",
+					fmt.Sprintf("%d cross-shard hops", out[i].cross))
+				if rates[i] > rates[best] {
+					best = i
+				}
+			}
+			last := len(shardsSwept) - 1
+			r.row("speedup 1->16 shards", rates[last]/rates[0], "x", "64 procs")
+			r.row("best shard count", float64(shardsSwept[best]), "shards", "")
+			r.finding("related work: partitioned metadata scales until coordination "+
+				"dominates; here creates/s grow %.1fx from 1 to %d shards, while "+
+				"cross-shard hops grow %d -> %d and the curve flattens (best at %d shards)",
+				rates[best]/rates[0], shardsSwept[best],
+				out[0].cross, out[last].cross, shardsSwept[best])
+			r.Charts = append(r.Charts, charts.Render(
+				"Create throughput vs. shard count (64 processes)",
+				"shards", "ops/s", chartW, chartH,
+				[]charts.Series{{Name: "ZipfDirFiles uniform", X: xs, Y: rates}}))
+		},
 	}
-	cells, err := parCells("E16", names, func(i int) (e16cell, error) {
-		set, fsys, err := load.run(1600, shard.DefaultConfig(shardsSwept[i]))
-		if err != nil {
-			return e16cell{}, err
-		}
-		return e16cell{set: set, rate: load.rate(set), cross: fsys.CrossCount}, nil
-	})
-	if err != nil {
-		return r.fail(err)
-	}
-	var xs, ys []float64
-	var rates []float64
-	var crosses []int64
-	for i, n := range shardsSwept {
-		c := cells[i]
-		r.Sets = append(r.Sets, c.set)
-		rates = append(rates, c.rate)
-		crosses = append(crosses, c.cross)
-		xs = append(xs, float64(n))
-		ys = append(ys, c.rate)
-		r.row(fmt.Sprintf("creates/s @ %2d shards", n), c.rate, "ops/s",
-			fmt.Sprintf("%d cross-shard hops", c.cross))
-	}
-	best := 0
-	for i := range rates {
-		if rates[i] > rates[best] {
-			best = i
-		}
-	}
-	r.row("speedup 1->16 shards", rates[len(rates)-1]/rates[0], "x", "64 procs")
-	r.row("best shard count", float64(shardsSwept[best]), "shards", "")
-	r.finding("related work: partitioned metadata scales until coordination "+
-		"dominates; here creates/s grow %.1fx from 1 to %d shards, while "+
-		"cross-shard hops grow %d -> %d and the curve flattens (best at %d shards)",
-		rates[best]/rates[0], shardsSwept[best],
-		crosses[0], crosses[len(crosses)-1], shardsSwept[best])
-	r.Charts = append(r.Charts, charts.Render(
-		"Create throughput vs. shard count (64 processes)",
-		"shards", "ops/s", chartW, chartH,
-		[]charts.Series{{Name: "ZipfDirFiles uniform", X: xs, Y: ys}}))
-	return r
 }
 
-// E17ShardSkew compares the two placement policies under uniform and
+// e16cell is one E16 run: creates/s and interconnect crossings.
+type e16cell struct {
+	rate  float64
+	cross int64
+}
+
+// e17ShardSkew compares the two placement policies under uniform and
 // Zipf-skewed directory popularity on 8 shards: hash placement spreads
 // a hot project's directories across every server, subtree placement
 // keeps whole projects local (no broadcast) but concentrates popular
 // subtrees on one shard.
-func E17ShardSkew() *Report {
-	r := &Report{ID: "E17", Title: "Hot-directory skew: hash vs. subtree placement",
-		PaperRef: "beyond §4.7 (placement under skew)"}
+func e17ShardSkew() spec[e17cell] {
 	const nShards = 8
-	mkCfg := func(p shard.Policy) shard.Config {
+	placed := func(name string, p shard.Policy, skew float64, seed int64) cell[e17cell] {
 		cfg := shard.DefaultConfig(nShards)
 		cfg.Placement = p
 		if p == shard.PlaceSubtree {
 			cfg.SubtreeAssign = e16SubtreeAssign(nShards)
 		}
-		return cfg
+		return read(name, wide(seed, cfg, e16Workload(skew), 400),
+			func(m *results.Measurement, fsys *shard.FS) e17cell {
+				c := e17cell{rate: rate(m)}
+				ops := fsys.ShardOps()
+				var max, sum int64
+				for _, n := range ops {
+					sum += n
+					if n > max {
+						max = n
+					}
+				}
+				if sum > 0 {
+					c.imbalance = float64(max) * float64(len(ops)) / float64(sum)
+				}
+				return c
+			})
 	}
-	type cell struct {
-		rate      float64
-		imbalance float64
-		set       *results.Set
+	return spec[e17cell]{
+		id: "E17", title: "Hot-directory skew: hash vs. subtree placement",
+		ref: "beyond §4.7 (placement under skew)",
+		cells: []cell[e17cell]{
+			placed("hash-uniform", shard.PlaceHashDir, 0, 1701),
+			placed("subtree-uniform", shard.PlaceSubtree, 0, 1702),
+			placed("hash-zipf", shard.PlaceHashDir, 2.0, 1703),
+			placed("subtree-zipf", shard.PlaceSubtree, 2.0, 1704),
+		},
+		report: func(r *Report, out []e17cell) {
+			hashU, subU, hashZ, subZ := out[0], out[1], out[2], out[3]
+			r.row("hash placement, uniform", hashU.rate, "ops/s",
+				fmt.Sprintf("hottest shard %.1fx mean", hashU.imbalance))
+			r.row("subtree placement, uniform", subU.rate, "ops/s",
+				fmt.Sprintf("hottest shard %.1fx mean", subU.imbalance))
+			r.row("hash placement, Zipf 2.0", hashZ.rate, "ops/s",
+				fmt.Sprintf("hottest shard %.1fx mean", hashZ.imbalance))
+			r.row("subtree placement, Zipf 2.0", subZ.rate, "ops/s",
+				fmt.Sprintf("hottest shard %.1fx mean", subZ.imbalance))
+			r.row("hash advantage under skew", hashZ.rate/subZ.rate, "x", "")
+			r.row("subtree advantage under uniform", subU.rate/hashU.rate, "x", "")
+			r.finding("related work: hash partitioning absorbs popularity skew that "+
+				"subtree placement concentrates (hottest shard %.1fx mean vs %.1fx); "+
+				"here hash wins %.2fx under Zipf skew while subtree wins %.2fx under "+
+				"uniform load by avoiding replicated directory mutations",
+				hashZ.imbalance, subZ.imbalance,
+				hashZ.rate/subZ.rate, subU.rate/hashU.rate)
+		},
 	}
-	// measure is one cell: it runs on its own kernel and touches nothing
-	// shared — sets are collected by the merge loop below, in cell order.
-	measure := func(p shard.Policy, skew float64, seed int64) (cell, error) {
-		load := wideRun(e16Workload(skew), 400)
-		set, fsys, err := load.run(seed, mkCfg(p))
-		if err != nil {
-			return cell{}, err
-		}
-		ops := fsys.ShardOps()
-		var max, sum int64
-		for _, n := range ops {
-			sum += n
-			if n > max {
-				max = n
-			}
-		}
-		c := cell{rate: load.rate(set), set: set}
-		if sum > 0 {
-			c.imbalance = float64(max) * float64(len(ops)) / float64(sum)
-		}
-		return c, nil
-	}
-	cells, err := parCells("E17", []string{"hash-uniform", "subtree-uniform",
-		"hash-zipf", "subtree-zipf"}, func(i int) (cell, error) {
-		switch i {
-		case 0:
-			return measure(shard.PlaceHashDir, 0, 1701)
-		case 1:
-			return measure(shard.PlaceSubtree, 0, 1702)
-		case 2:
-			return measure(shard.PlaceHashDir, 2.0, 1703)
-		default:
-			return measure(shard.PlaceSubtree, 2.0, 1704)
-		}
-	})
-	if err != nil {
-		return r.fail(err)
-	}
-	for _, c := range cells {
-		r.Sets = append(r.Sets, c.set)
-	}
-	hashU, subU, hashZ, subZ := cells[0], cells[1], cells[2], cells[3]
-	r.row("hash placement, uniform", hashU.rate, "ops/s",
-		fmt.Sprintf("hottest shard %.1fx mean", hashU.imbalance))
-	r.row("subtree placement, uniform", subU.rate, "ops/s",
-		fmt.Sprintf("hottest shard %.1fx mean", subU.imbalance))
-	r.row("hash placement, Zipf 2.0", hashZ.rate, "ops/s",
-		fmt.Sprintf("hottest shard %.1fx mean", hashZ.imbalance))
-	r.row("subtree placement, Zipf 2.0", subZ.rate, "ops/s",
-		fmt.Sprintf("hottest shard %.1fx mean", subZ.imbalance))
-	r.row("hash advantage under skew", hashZ.rate/subZ.rate, "x", "")
-	r.row("subtree advantage under uniform", subU.rate/hashU.rate, "x", "")
-	r.finding("related work: hash partitioning absorbs popularity skew that "+
-		"subtree placement concentrates (hottest shard %.1fx mean vs %.1fx); "+
-		"here hash wins %.2fx under Zipf skew while subtree wins %.2fx under "+
-		"uniform load by avoiding replicated directory mutations",
-		hashZ.imbalance, subZ.imbalance,
-		hashZ.rate/subZ.rate, subU.rate/hashU.rate)
-	return r
 }
 
-// E18CrossShard prices a single operation that spans a shard boundary:
+// e17cell is one E17 run: creates/s and the hottest shard's op count
+// over the mean.
+type e17cell struct {
+	rate, imbalance float64
+}
+
+// e18CrossShard prices a single operation that spans a shard boundary:
 // a rename whose source and destination directories live on different
 // shards migrates the file over the MDS interconnect, and a root
 // listing under subtree placement merges every shard's top level.
-func E18CrossShard() *Report {
-	r := &Report{ID: "E18", Title: "Cross-shard operation cost",
-		PaperRef: "beyond §4.6 (MDS interconnect hops)"}
+func e18CrossShard() spec[e18probe] {
 	const ops = 200
 
-	// Part 1 cell: same-shard vs. cross-shard rename on hash placement.
-	type renameProbe struct {
-		sameAvg, crossAvg time.Duration
-		crossings         int64
-	}
-	probeRename := func() (renameProbe, error) {
+	// Rename cell: same-shard vs. cross-shard rename on hash placement.
+	probeRename := func() (pr e18probe, err error) {
 		k := sim.New(1801)
 		cl := cluster.New(k, cluster.DefaultConfig(1))
 		fsys := newShardFS(k, "meta", shard.DefaultConfig(8))
@@ -266,8 +193,7 @@ func E18CrossShard() *Report {
 				remote = cand
 			}
 		}
-		var pr renameProbe
-		err := runProc(k, "probe", func(p *sim.Proc) error {
+		err = runProc(k, "probe", func(p *sim.Proc) error {
 			c := fsys.NewClient(cl.Nodes[0], p)
 			for _, d := range []string{base, local, remote} {
 				if err := c.Mkdir(d); err != nil {
@@ -285,34 +211,30 @@ func E18CrossShard() *Report {
 					return err
 				}
 			}
-			pr.sameAvg = (p.Now() - start) / ops
+			pr.base = (p.Now() - start) / ops
 			start = p.Now()
 			for i := 0; i < ops; i++ {
 				if err := c.Rename(fmt.Sprintf("%s/f%d", local, i), fmt.Sprintf("%s/f%d", remote, i)); err != nil {
 					return err
 				}
 			}
-			pr.crossAvg = (p.Now() - start) / ops
+			pr.cost = (p.Now() - start) / ops
 			return nil
 		})
 		pr.crossings = fsys.CrossCount
 		return pr, err
 	}
 
-	// Part 2 cell: root readdir under subtree placement merges all
+	// Readdir cell: root readdir under subtree placement merges all
 	// shards; a subtree-local listing stays on one.
-	type readdirProbe struct {
-		rootAvg, localAvg time.Duration
-	}
-	probeReaddir := func() (readdirProbe, error) {
+	probeReaddir := func() (rd e18probe, err error) {
 		k2 := sim.New(1802)
 		cl2 := cluster.New(k2, cluster.DefaultConfig(1))
 		cfg := shard.DefaultConfig(8)
 		cfg.Placement = shard.PlaceSubtree
 		cfg.SubtreeAssign = e16SubtreeAssign(8)
 		fsys2 := newShardFS(k2, "meta", cfg)
-		var rd readdirProbe
-		err := runProc(k2, "readdir", func(p *sim.Proc) error {
+		err = runProc(k2, "readdir", func(p *sim.Proc) error {
 			c := fsys2.NewClient(cl2.Nodes[0], p)
 			for j := 0; j < 24; j++ {
 				if err := c.Mkdir(fmt.Sprintf("/zp%d", j)); err != nil {
@@ -330,48 +252,46 @@ func E18CrossShard() *Report {
 					return err
 				}
 			}
-			rd.rootAvg = (p.Now() - start) / ops
+			rd.cost = (p.Now() - start) / ops
 			start = p.Now()
 			for i := 0; i < ops; i++ {
 				if _, err := c.ReadDir("/zp0"); err != nil {
 					return err
 				}
 			}
-			rd.localAvg = (p.Now() - start) / ops
+			rd.base = (p.Now() - start) / ops
 			return nil
 		})
 		return rd, err
 	}
 
-	// Both probes write only their own slot; merge in declaration order.
-	var ren renameProbe
-	var rd readdirProbe
-	_, err := parCells("E18", []string{"rename", "readdir"}, func(i int) (struct{}, error) {
-		var err error
-		if i == 0 {
-			ren, err = probeRename()
-		} else {
-			rd, err = probeReaddir()
-		}
-		return struct{}{}, err
-	})
-	if err != nil {
-		return r.fail(err)
-	}
-	sameAvg, crossAvg := ren.sameAvg, ren.crossAvg
-	r.row("same-shard rename", float64(sameAvg.Microseconds()), "us", "hash placement, 8 shards")
-	r.row("cross-shard rename", float64(crossAvg.Microseconds()), "us", "migrate + interconnect hop")
-	r.row("cross-shard rename penalty", float64(crossAvg)/float64(sameAvg), "x", "")
-	r.row("interconnect crossings", float64(ren.crossings), "", "")
+	return spec[e18probe]{
+		id: "E18", title: "Cross-shard operation cost", ref: "beyond §4.6 (MDS interconnect hops)",
+		cells: []cell[e18probe]{{"rename", probeRename}, {"readdir", probeReaddir}},
+		report: func(r *Report, out []e18probe) {
+			ren, rd := out[0], out[1]
+			sameAvg, crossAvg := ren.base, ren.cost
+			r.row("same-shard rename", float64(sameAvg.Microseconds()), "us", "hash placement, 8 shards")
+			r.row("cross-shard rename", float64(crossAvg.Microseconds()), "us", "migrate + interconnect hop")
+			r.row("cross-shard rename penalty", float64(crossAvg)/float64(sameAvg), "x", "")
+			r.row("interconnect crossings", float64(ren.crossings), "", "")
 
-	rootAvg, localAvg := rd.rootAvg, rd.localAvg
-	r.row("root readdir (8-shard merge)", float64(rootAvg.Microseconds()), "us", "subtree placement")
-	r.row("subtree-local readdir", float64(localAvg.Microseconds()), "us", "")
-	r.row("merge penalty", float64(rootAvg)/float64(localAvg), "x", "")
-	r.finding("a shard boundary turns one RPC into a coordinated pair: "+
-		"cross-shard rename costs %.1fx a local one (%.0f vs %.0f us), and a "+
-		"root listing that merges 8 shards costs %.1fx a subtree-local one",
-		float64(crossAvg)/float64(sameAvg), float64(crossAvg.Microseconds()),
-		float64(sameAvg.Microseconds()), float64(rootAvg)/float64(localAvg))
-	return r
+			rootAvg, localAvg := rd.cost, rd.base
+			r.row("root readdir (8-shard merge)", float64(rootAvg.Microseconds()), "us", "subtree placement")
+			r.row("subtree-local readdir", float64(localAvg.Microseconds()), "us", "")
+			r.row("merge penalty", float64(rootAvg)/float64(localAvg), "x", "")
+			r.finding("a shard boundary turns one RPC into a coordinated pair: "+
+				"cross-shard rename costs %.1fx a local one (%.0f vs %.0f us), and a "+
+				"root listing that merges 8 shards costs %.1fx a subtree-local one",
+				float64(crossAvg)/float64(sameAvg), float64(crossAvg.Microseconds()),
+				float64(sameAvg.Microseconds()), float64(rootAvg)/float64(localAvg))
+		},
+	}
+}
+
+// e18probe is one E18 cell: the mean cost of an operation that crosses
+// shards and of its single-shard baseline.
+type e18probe struct {
+	cost, base time.Duration
+	crossings  int64
 }

@@ -245,20 +245,6 @@ func NewSet(label, fsName string, interval time.Duration) *Set {
 // Add appends a measurement.
 func (s *Set) Add(m *Measurement) { s.Measurements = append(s.Measurements, m) }
 
-// Merge appends measurements in slice order, skipping nil slots. This
-// is the deterministic-merge step of parallel cell execution: cells
-// complete in arbitrary real-time order but deposit into
-// index-addressed slots, and the slot order — the serial plan order —
-// is what defines the set, so the merged set is identical at any
-// worker count.
-func (s *Set) Merge(ms []*Measurement) {
-	for _, m := range ms {
-		if m != nil {
-			s.Measurements = append(s.Measurements, m)
-		}
-	}
-}
-
 // Find returns the measurement for (op, nodes, ppn), or nil.
 func (s *Set) Find(op string, nodes, ppn int) *Measurement {
 	for _, m := range s.Measurements {
