@@ -13,32 +13,63 @@ import (
 	"dmetabench/internal/sim"
 )
 
-// parSmokeRunner is a 12-cell experiment (4 combos x 3 ops) mirroring
-// TestRunnerNFSSmoke, expressed for the parallel engine.
-func parSmokeRunner() *ParallelRunner {
-	return &ParallelRunner{
-		Seed: 42,
-		New: func(k *sim.Kernel) *Runner {
-			cl := cluster.New(k, cluster.DefaultConfig(2))
-			fsys := nfs.New(k, "home", nfs.DefaultConfig())
-			return &Runner{
-				Cluster:      cl,
-				FS:           fsys,
-				Params:       Params{ProblemSize: 150, WorkDir: "/bench", Label: "par"},
-				SlotsPerNode: 2,
-				Plugins:      []Plugin{MakeFiles{}, StatFiles{}, DeleteFiles{}},
-			}
-		},
+// smokeRunner builds the 4-combo, 3-op NFS experiment of
+// TestRunnerNFSSmoke on its own kernel seeded 42.
+func smokeRunner() *Runner {
+	k := sim.New(42)
+	return &Runner{
+		Cluster:      cluster.New(k, cluster.DefaultConfig(2)),
+		FS:           nfs.New(k, "home", nfs.DefaultConfig()),
+		Params:       Params{ProblemSize: 150, WorkDir: "/bench", Label: "par"},
+		SlotsPerNode: 2,
+		Plugins:      []Plugin{MakeFiles{}, StatFiles{}, DeleteFiles{}},
 	}
 }
 
-// dumpSet serializes every measurement of a set — identity, full
+// runSmokeCells runs the smoke experiment the way the experiments
+// package fans out its cells: every (combo, plugin) measurement is one
+// Runner on its own kernel, cluster and file system, the cells run
+// across the par worker pool, and the measurements come back in plan
+// order (combo-major, plugins inner).
+func runSmokeCells(t *testing.T) []*results.Measurement {
+	t.Helper()
+	plan, err := smokeRunner().plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plugins := smokeRunner().Plugins
+	out := make([]*results.Measurement, len(plan)*len(plugins))
+	errs := make([]error, len(out))
+	par.Do(len(out), func(i int) {
+		combo, plugin := plan[i/len(plugins)], plugins[i%len(plugins)]
+		r := smokeRunner()
+		r.Plugins = []Plugin{plugin}
+		r.Filter = func(c Combo) bool { return c.Nodes == combo.Nodes && c.PPN == combo.PPN }
+		set, err := r.Run()
+		switch {
+		case err != nil:
+			errs[i] = err
+		case len(set.Measurements) != 1:
+			errs[i] = fmt.Errorf("cell %d: %d measurements, want 1", i, len(set.Measurements))
+		default:
+			out[i] = set.Measurements[0]
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// dumpMeasurements serializes every measurement — identity, full
 // per-proc traces and derived averages — so two runs can be compared
 // byte for byte.
-func dumpSet(t *testing.T, set *results.Set) []byte {
+func dumpMeasurements(t *testing.T, ms []*results.Measurement) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, m := range set.Measurements {
+	for _, m := range ms {
 		fmt.Fprintf(&buf, "== %s n%d p%d ops=%d stone=%.6f wall=%.6f\n",
 			m.Op, m.Nodes, m.PPN, m.TotalOps(),
 			m.Averages().Stonewall, m.Averages().WallClock)
@@ -58,49 +89,38 @@ func withWorkers(t *testing.T, n int, fn func()) {
 }
 
 // TestParallelRunnerDeterministicAcrossWorkers is the determinism
-// contract: the merged result set is byte-identical whether cells run
-// serially on one worker or fan out across every CPU.
+// contract for Runner cells: the measurements are byte-identical
+// whether the cells run serially on one worker or fan out across every
+// CPU.
 func TestParallelRunnerDeterministicAcrossWorkers(t *testing.T) {
 	var serial, parallel []byte
 	withWorkers(t, 1, func() {
-		set, err := parSmokeRunner().Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial = dumpSet(t, set)
+		serial = dumpMeasurements(t, runSmokeCells(t))
 	})
 	workers := runtime.NumCPU()
 	if workers < 4 {
 		workers = 4 // force real interleaving even on small hosts
 	}
 	withWorkers(t, workers, func() {
-		set, err := parSmokeRunner().Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel = dumpSet(t, set)
+		parallel = dumpMeasurements(t, runSmokeCells(t))
 	})
 	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("result set differs between 1 and %d workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
+		t.Fatalf("measurements differ between 1 and %d workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			workers, serial, parallel)
 	}
 }
 
-// TestParallelRunnerConcurrentCells drives many cells through a wide
-// pool at once; under `go test -race` this is the check that cells
-// share no mutable state.
+// TestParallelRunnerConcurrentCells drives many Runner cells through a
+// wide pool at once; under `go test -race` this is the check that
+// Runners on distinct kernels share no mutable state.
 func TestParallelRunnerConcurrentCells(t *testing.T) {
 	withWorkers(t, 8, func() {
-		set, err := parSmokeRunner().Run()
-		if err != nil {
-			t.Fatal(err)
+		ms := runSmokeCells(t)
+		if len(ms) != 12 {
+			t.Fatalf("measurements = %d, want 12", len(ms))
 		}
-		if len(set.Measurements) != 12 {
-			t.Fatalf("measurements = %d, want 12", len(set.Measurements))
-		}
-		// Merge order must be plan order: combo-major, plugins inner.
 		ops := []string{"MakeFiles", "StatFiles", "DeleteFiles"}
-		for i, m := range set.Measurements {
+		for i, m := range ms {
 			if m.Op != ops[i%3] {
 				t.Fatalf("measurement %d is %s, want %s (plan order broken)",
 					i, m.Op, ops[i%3])
@@ -112,39 +132,6 @@ func TestParallelRunnerConcurrentCells(t *testing.T) {
 				t.Fatalf("%s %d/%d: total ops = %d, want %d",
 					m.Op, m.Nodes, m.PPN, m.TotalOps(), 150*m.Procs())
 			}
-		}
-	})
-}
-
-// TestParallelRunnerCellIsolation checks the per-cell kernel discipline:
-// every cell starts from the same seed, so a combo's measurement must
-// not depend on which other combos ran before it. Running a single
-// filtered cell alone must reproduce the same measurement the full
-// sweep produced.
-func TestParallelRunnerCellIsolation(t *testing.T) {
-	withWorkers(t, 4, func() {
-		full, err := parSmokeRunner().Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr := parSmokeRunner()
-		solo, err := pr.runCell(planCell{Combo{Nodes: 2, PPN: 2}, StatFiles{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := full.Find("StatFiles", 2, 2)
-		if ref == nil {
-			t.Fatal("sweep measurement missing")
-		}
-		var a, b bytes.Buffer
-		if err := ref.WriteTrace(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := solo.WriteTrace(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("solo cell differs from sweep cell:\n%s\nvs\n%s", a.String(), b.String())
 		}
 	})
 }

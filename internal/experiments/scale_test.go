@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -82,6 +83,33 @@ func TestScaleReportsByteIdenticalUnderDomains(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("scale reports differ between -j 1 and -j 8 at Domains=5:\n--- j1 ---\n%s\n--- j8 ---\n%s",
 			serial, parallel)
+	}
+}
+
+// TestScaleDeclaredCellCounts checks E31–E33 at run time: the runner
+// times exactly the cells each declares, one "<ID>/<cell>" timing per
+// cell, the way TestDeclaredCellCounts checks the declarations.
+func TestScaleDeclaredCellCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long-horizon experiments; skipped in -short")
+	}
+	withPeriod(t, 2*time.Minute)
+	old := par.Workers()
+	defer par.SetWorkers(old)
+	par.SetWorkers(4)
+
+	for _, e := range scaleExperiments(t) {
+		par.DrainTimings()
+		e.Run()
+		got := 0
+		for _, tm := range par.DrainTimings() {
+			if strings.HasPrefix(tm.Label, e.ID+"/") {
+				got++
+			}
+		}
+		if got != e.Cells {
+			t.Errorf("%s: dispatched %d cells, declares Cells=%d", e.ID, got, e.Cells)
+		}
 	}
 }
 
