@@ -84,6 +84,10 @@ type leaseGrant struct {
 type sliceLeases struct {
 	read  map[string][]leaseGrant
 	deleg map[string]*nodeState
+	// spare holds the emptied grant lists of revoked paths, reused by
+	// the next path granted its first lease. Like the maps it is touched
+	// only by the domain owning the slice.
+	spare [][]leaseGrant
 }
 
 func newSliceLeases() *sliceLeases {
@@ -91,6 +95,26 @@ func newSliceLeases() *sliceLeases {
 		read:  make(map[string][]leaseGrant),
 		deleg: make(map[string]*nodeState),
 	}
+}
+
+// drop deletes path's grant list, whose holders the caller has already
+// copied out, and keeps the list for reuse.
+func (t *sliceLeases) drop(path string, grants []leaseGrant) {
+	delete(t.read, path)
+	clear(grants)
+	t.spare = append(t.spare, grants[:0])
+}
+
+// list returns an empty grant list for a path's first lease.
+func (t *sliceLeases) list() []leaseGrant {
+	n := len(t.spare)
+	if n == 0 {
+		return nil
+	}
+	l := t.spare[n-1]
+	t.spare[n-1] = nil
+	t.spare = t.spare[:n-1]
+	return l
 }
 
 // Epoch returns slice i's current lease epoch (bumped on takeover and
@@ -118,48 +142,99 @@ func (f *FS) cbServer(st *nodeState, n *cluster.Node) {
 	st.cbConn = simnet.NewConn(f.k, st.cb, f.cfg.OneWayLatency, 0)
 }
 
-// callback delivers one coherence message (revocation or recall) for
-// path to the node behind st. The cached state drops at the instant the
-// server commits the conflicting change — the callback is on the wire
-// before the mutation's reply — while the server still pays the full
-// server→client round trip plus the client-side handler before its RPC
-// returns: the same atomic-apply + paid-cost discipline as
-// FS.replicate, so a coherent cache can never serve a hit newer
-// mutations already invalidated.
-func (f *FS) callback(p *sim.Proc, st *nodeState, path string) {
-	if !f.domained() {
-		st.leases.Revoke(path)
-		st.dentries.Invalidate(path)
-	}
-	f.cbDeliver(p, st, func() {
-		st.leases.Revoke(path)
-		st.dentries.Invalidate(path)
-	})
+// callback is one coherence message — a lease revocation, a delegation
+// recall or a split's revocation — to the node behind st, as a typed
+// record instead of closures. It is both halves of the delivery: the
+// sim.Handler a revocation fan-out runs as its child, which makes the
+// server→client call, and that call's simnet.Body, which holds the
+// node's callback thread for the client-side handler. Under kernel
+// domains the body also drops path's lease and dentry (inval): a server
+// body must not reach into another domain's cache, so the drop lands
+// when the message does instead of at the commit instant, the
+// single-kernel idealization.
+type callback struct {
+	f     *FS
+	st    *nodeState
+	path  string
+	inval bool
 }
 
-// cbCost charges one callback's delivery: the server→client round trip
+// Handle pays one callback round trip from q: the server→client trip
 // plus the client-side handler, serialized on the node's callback
 // channel.
-func (f *FS) cbCost(p *sim.Proc, st *nodeState) { f.cbDeliver(p, st, nil) }
+func (cb *callback) Handle(q *sim.Proc) { cb.st.cbConn.Call(q, 90, 60, cb) }
 
-// cbDeliver pays one callback round trip. Under kernel domains the
-// client-side invalidation rides the callback and applies in the
-// client's domain at delivery — a server body must not reach into
-// another domain's cache, so the drop lands when the message does
-// (instead of at the commit instant, the single-kernel idealization).
-// Undomained, the caller already applied it and inval is ignored.
-func (f *FS) cbDeliver(p *sim.Proc, st *nodeState, inval func()) {
-	svc := f.cfg.CallbackService
-	apply := inval
-	if !f.domained() {
-		apply = nil
+// Serve is the client-side handler.
+func (cb *callback) Serve(q *sim.Proc) {
+	if cb.inval {
+		cb.st.leases.Revoke(cb.path)
+		cb.st.dentries.Invalidate(cb.path)
 	}
-	st.cbConn.Call(p, 90, 60, simnet.BodyFunc(func(q *sim.Proc) {
-		if apply != nil {
-			apply()
-		}
-		q.Sleep(svc)
-	}))
+	q.Sleep(cb.f.cfg.CallbackService)
+}
+
+// callbacks is a batch of callback records in flight. Batches are
+// recycled through a free list per kernel domain (FS.cbFree): the proc
+// that takes a batch also returns it, so each list is touched only by
+// the goroutine running its domain.
+type callbacks struct {
+	cb []callback
+}
+
+// batch returns an idle callback batch from the free list of p's domain.
+func (f *FS) batch(p *sim.Proc) *callbacks {
+	l := &f.cbFree[p.Kernel().DomainID()]
+	n := len(*l)
+	if n == 0 {
+		return new(callbacks)
+	}
+	b := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
+	return b
+}
+
+// put clears b, keeping its storage, and returns it to the free list of
+// p's domain; p is the proc that took b.
+func (f *FS) put(p *sim.Proc, b *callbacks) {
+	clear(b.cb)
+	b.cb = b.cb[:0]
+	l := &f.cbFree[p.Kernel().DomainID()]
+	*l = append(*l, b)
+}
+
+// deliver pays every callback of b in parallel from p, then recycles b:
+// the server issues all callbacks at once and waits for every ack, so a
+// wide revocation costs one round trip plus callback-channel queueing,
+// not one round trip per holder. The sim.Fan schedules exactly what
+// spawning and joining one proc per callback would.
+func (f *FS) deliver(p *sim.Proc, b *callbacks, name string) {
+	fan := p.Fan()
+	for i := range b.cb {
+		fan.Go(name, &b.cb[i])
+	}
+	fan.Wait()
+	f.put(p, b)
+}
+
+// recall delivers one delegation recall for path to the node behind st.
+// The cached state drops at the instant the server commits the
+// conflicting change — the callback is on the wire before the
+// mutation's reply — while the server still pays the full server→client
+// round trip plus the client-side handler before its RPC returns: the
+// same atomic-apply + paid-cost discipline as FS.replicate, so a
+// coherent cache can never serve a hit newer mutations already
+// invalidated. Under kernel domains the drop rides the callback.
+func (f *FS) recall(p *sim.Proc, st *nodeState, path string) {
+	dom := f.domained()
+	if !dom {
+		st.leases.Revoke(path)
+		st.dentries.Invalidate(path)
+	}
+	b := f.batch(p)
+	b.cb = append(b.cb, callback{f: f, st: st, path: path, inval: dom})
+	b.cb[0].Handle(p)
+	f.put(p, b)
 }
 
 // grant issues (or refreshes) a read lease on path to the node behind
@@ -197,6 +272,9 @@ func (f *FS) grantAt(q *sim.Proc, st *nodeState, path string, a fs.Attr, slice i
 		}
 	}
 	if !found {
+		if grants == nil {
+			grants = t.list()
+		}
 		t.read[path] = append(grants, leaseGrant{st: st, expiry: exp})
 	}
 	addI64(&f.LeaseGrants, 1)
@@ -220,15 +298,15 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 	}
 	now := p.Now()
 	// Every holder is invalidated at the commit instant; the delivery
-	// costs are paid afterwards, fanned out in parallel — the server
-	// issues all callbacks at once and waits for every ack, so a wide
-	// revocation costs one round trip plus callback-channel queueing,
-	// not one round trip per holder. Under kernel domains the victims'
-	// drops ride the callbacks instead (cbDeliver) and the mutator's
-	// silent invalidation rides its own RPC reply — a server body never
-	// reaches into a client domain's cache.
+	// costs are paid afterwards, fanned out in parallel. Under
+	// kernel domains the victims' drops ride the callbacks instead and
+	// the mutator's silent invalidation rides its own RPC reply — a
+	// server body never reaches into a client domain's cache. The
+	// victims are copied into callback records before the grant list
+	// goes back to the table: a grant landing during the fan-out starts
+	// a new list.
 	dom := f.domained()
-	victims := grants[:0]
+	var b *callbacks
 	for _, g := range grants {
 		switch {
 		case g.st == mutator:
@@ -244,27 +322,18 @@ func (f *FS) revokePath(p *sim.Proc, mutator *nodeState, path string) {
 				g.st.leases.Revoke(path)
 				g.st.dentries.Invalidate(path)
 			}
-			victims = append(victims, g)
+			if b == nil {
+				b = f.batch(p)
+			}
+			b.cb = append(b.cb, callback{f: f, st: g.st, path: path, inval: dom})
 		}
 	}
-	delete(t.read, path)
-	if len(victims) == 0 {
+	t.drop(path, grants)
+	if b == nil {
 		return
 	}
-	procs := make([]*sim.Proc, 0, len(victims))
-	for _, g := range victims {
-		addI64(&f.Revocations, 1)
-		st := g.st
-		procs = append(procs, p.Spawn("revoke", func(q *sim.Proc) {
-			f.cbDeliver(q, st, func() {
-				st.leases.Revoke(path)
-				st.dentries.Invalidate(path)
-			})
-		}))
-	}
-	for _, q := range procs {
-		p.Join(q)
-	}
+	addI64(&f.Revocations, int64(len(b.cb)))
+	f.deliver(p, b, "revoke")
 }
 
 // dropDelegation forgets any write delegation on dir; Rmdir and
@@ -336,7 +405,7 @@ func (f *FS) dirCovered(p *sim.Proc, mutator *nodeState, dir string) bool {
 	default:
 		// A second writer: recall the delegation, then hand it over.
 		addI64(&f.DelegationRecalls, 1)
-		f.callback(p, holder, dir)
+		f.recall(p, holder, dir)
 		t.deleg[dir] = mutator
 		return false
 	}

@@ -48,6 +48,7 @@ package shard
 import (
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"dmetabench/internal/fs"
 	"dmetabench/internal/sim"
@@ -67,28 +68,63 @@ func (f *FS) kFor(i int) *sim.Kernel { return f.rt.KernelFor(i) }
 // points, so the read is safe from any domain.
 func (f *FS) sliceKernel(s int) *sim.Kernel { return f.kFor(f.serving[s]) }
 
-// peerLeg runs body on ps's peer pool across the interconnect:
-// coordination CPU on the caller, the round trip, and the body holding
-// one peer thread. When ps lives in another domain the leg is a
+// peerWork is the peer-pool half of one MDS-to-MDS leg, run on server
+// ps while holding one of its peer threads: the closure fn, or — when fn
+// is nil — the typed write of a replication leg (the broadcast, the
+// mirror, the group-commit mirror): apply kind on path to ps's
+// namespace when apply is set, charge svc as one write, journal
+// logBytes. Legs pass it by value, so a typed leg that stays on the
+// caller's kernel builds no closure and no heap record.
+type peerWork struct {
+	f        *FS
+	ps       *shardSrv
+	fn       func(q *sim.Proc)
+	svc      time.Duration
+	logBytes int64
+	apply    bool
+	kind     fs.OpKind
+	path     string
+}
+
+// peerWrite returns the typed peer work of one replicated write on ps.
+func (f *FS) peerWrite(ps *shardSrv, svc time.Duration, logBytes int64) peerWork {
+	return peerWork{f: f, ps: ps, svc: svc, logBytes: logBytes}
+}
+
+// Handle runs w on ps's peer pool, in ps's domain.
+func (w *peerWork) Handle(q *sim.Proc) { w.ps.peer.Do(q, w.serve) }
+
+// serve is w's body, run holding the peer thread.
+func (w *peerWork) serve(q *sim.Proc) {
+	q.Sleep(w.f.cfg.CrossShardOverhead)
+	if w.fn != nil {
+		w.fn(q)
+		return
+	}
+	if w.apply {
+		w.ps.ns.Apply(w.kind, w.path, "", q.Now())
+	}
+	w.f.chargeOp(q, w.ps, w.svc, -1, opInfo{cls: opWrite, dirSize: -1})
+	w.ps.be.log(q, w.logBytes)
+}
+
+// peerLeg runs w on its server's peer pool across the interconnect:
+// coordination CPU on the caller, the round trip, and the work holding
+// one peer thread. When the server lives in another domain the leg is a
 // cross-domain rendezvous — the one-way latencies ride the message
-// timestamps and the body runs in ps's domain while the caller blocks;
-// the virtual-time cost is identical to the inline path.
-func (f *FS) peerLeg(sp *sim.Proc, ps *shardSrv, name string, body func(q *sim.Proc)) {
+// timestamps and the work runs in the server's domain, on a heap copy
+// of w, while the caller blocks; the virtual-time cost is identical to
+// the inline path.
+func (f *FS) peerLeg(sp *sim.Proc, name string, w peerWork) {
 	sp.Sleep(f.cfg.CrossShardOverhead)
-	if dk := f.kFor(ps.index); f.domained() && dk != sp.Kernel() {
-		sim.Call(sp, dk, f.cfg.CrossShardLatency, name, sim.HandlerFunc(func(q *sim.Proc) {
-			ps.peer.Threads.Acquire(q)
-			q.Sleep(f.cfg.CrossShardOverhead)
-			body(q)
-			ps.peer.Threads.Release()
-		}))
+	if dk := f.kFor(w.ps.index); f.domained() && dk != sp.Kernel() {
+		h := new(peerWork)
+		*h = w
+		sim.Call(sp, dk, f.cfg.CrossShardLatency, name, h)
 		return
 	}
 	sp.Sleep(f.cfg.CrossShardLatency)
-	ps.peer.Do(sp, func(q *sim.Proc) {
-		q.Sleep(f.cfg.CrossShardOverhead)
-		body(q)
-	})
+	w.Handle(sp)
 	sp.Sleep(f.cfg.CrossShardLatency)
 }
 
@@ -158,7 +194,7 @@ func (f *FS) runLease(q *sim.Proc, op leaseOp) bool {
 	case leaseRecall:
 		if holder, ok := t.deleg[op.path]; ok && holder != op.st {
 			addI64(&f.DelegationRecalls, 1)
-			f.callback(q, holder, op.path)
+			f.recall(q, holder, op.path)
 			delete(t.deleg, op.path)
 		}
 	case leaseIssue:

@@ -402,6 +402,9 @@ type FS struct {
 	// E22–E24 experiments report.
 	leases []*sliceLeases
 	epochs []uint64
+	// cbFree holds the idle revocation-callback batches, one list per
+	// kernel domain (coherence.go, FS.batch).
+	cbFree [][]*callbacks
 	// LeaseGrants counts read leases granted (including refreshes and
 	// readdirplus bulk grants).
 	LeaseGrants int64
@@ -519,6 +522,10 @@ func New(k *sim.Kernel, name string, cfg Config) *FS {
 		f.serving = append(f.serving, i)
 		f.leases = append(f.leases, newSliceLeases())
 		f.epochs = append(f.epochs, 0)
+	}
+	f.cbFree = make([][]*callbacks, 1)
+	if g := f.Group(); g != nil {
+		f.cbFree = make([][]*callbacks, g.NumDomains())
 	}
 	return f
 }
@@ -869,8 +876,13 @@ func scanInfo() opInfo { return opInfo{cls: opScan, dirSize: -1} }
 // destination lives in another kernel domain, peerLeg turns the round
 // trip into a cross-domain rendezvous with identical virtual-time cost.
 func (f *FS) hop(sp *sim.Proc, dst *shardSrv, body func(q *sim.Proc)) {
+	f.hopWork(sp, peerWork{f: f, ps: dst, fn: body})
+}
+
+// hopWork is hop with its body given as peer work.
+func (f *FS) hopWork(sp *sim.Proc, w peerWork) {
 	addI64(&f.CrossCount, 1)
-	f.peerLeg(sp, dst, dst.hopName, body)
+	f.peerLeg(sp, w.ps.hopName, w)
 }
 
 // commit journals one successful mutation on slice state and, with
@@ -888,10 +900,7 @@ func (f *FS) commit(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path str
 	}
 	ps := f.shards[partner]
 	addI64(&f.MirrorCount, 1)
-	f.peerLeg(sp, ps, ps.mirrorName, func(q *sim.Proc) {
-		f.chargeOp(q, ps, f.cfg.MirrorService, -1, opInfo{cls: opWrite, dirSize: -1})
-		ps.be.log(q, f.cfg.MetaLogBytes)
-	})
+	f.peerLeg(sp, ps.mirrorName, f.peerWrite(ps, f.cfg.MirrorService, f.cfg.MetaLogBytes))
 }
 
 // mirrorPartner returns the replica partner a committed mutation on
@@ -967,11 +976,7 @@ func (f *FS) persist(sp *sim.Proc, state, srv *shardSrv, kind fs.OpKind, path st
 			continue // the partner died inside the window: replay catches it up
 		}
 		addI64(&f.MirrorCount, 1)
-		count := m.count
-		f.peerLeg(sp, ps, ps.gcMirrorName, func(q *sim.Proc) {
-			f.chargeOp(q, ps, time.Duration(count)*f.cfg.MirrorService, -1, opInfo{cls: opWrite, dirSize: -1})
-			ps.be.log(q, count*f.cfg.MetaLogBytes)
-		})
+		f.peerLeg(sp, ps.gcMirrorName, f.peerWrite(ps, time.Duration(m.count)*f.cfg.MirrorService, m.count*f.cfg.MetaLogBytes))
 	}
 	b.flushed = true
 	b.done.Broadcast()
@@ -1007,13 +1012,10 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, kind 
 			if sh == primary {
 				continue
 			}
-			sh := sh
 			if sh.up {
-				f.hop(sp, sh, func(q *sim.Proc) {
-					sh.ns.Apply(kind, path, "", q.Now())
-					f.chargeOp(q, sh, svc, -1, opInfo{cls: opWrite, dirSize: -1})
-					sh.be.log(q, f.cfg.MetaLogBytes)
-				})
+				w := f.peerWrite(sh, svc, f.cfg.MetaLogBytes)
+				w.apply, w.kind, w.path = true, kind, path
+				f.hopWork(sp, w)
 				continue
 			}
 			if dk := f.sliceKernel(sh.index); dk != sp.Kernel() {
@@ -1036,11 +1038,7 @@ func (f *FS) replicate(sp *sim.Proc, primary *shardSrv, svc time.Duration, kind 
 		if sh == primary || !sh.up {
 			continue
 		}
-		sh := sh
-		f.hop(sp, sh, func(q *sim.Proc) {
-			f.chargeOp(q, sh, svc, -1, opInfo{cls: opWrite, dirSize: -1})
-			sh.be.log(q, f.cfg.MetaLogBytes)
-		})
+		f.hopWork(sp, f.peerWrite(sh, svc, f.cfg.MetaLogBytes))
 	}
 }
 

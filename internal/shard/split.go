@@ -308,15 +308,13 @@ func (f *FS) splitPay(sp *sim.Proc, batches []splitBatch, victims []*nodeState) 
 		}
 	}
 	if len(victims) > 0 {
-		procs := make([]*sim.Proc, 0, len(victims))
+		// splitRevoke already dropped the victims' cached state.
+		b := f.batch(sp)
 		for _, st := range victims {
-			addI64(&f.Revocations, 1)
-			st := st
-			procs = append(procs, sp.Spawn("splitrevoke", func(q *sim.Proc) { f.cbCost(q, st) }))
+			b.cb = append(b.cb, callback{f: f, st: st})
 		}
-		for _, q := range procs {
-			sp.Join(q)
-		}
+		addI64(&f.Revocations, int64(len(victims)))
+		f.deliver(sp, b, "splitrevoke")
 	}
 }
 
@@ -410,7 +408,7 @@ func (f *FS) splitRevoke(slice int, path string, mutator *nodeState) []*nodeStat
 		}
 		out = append(out, g.st)
 	}
-	delete(t.read, path)
+	t.drop(path, grants)
 	return out
 }
 

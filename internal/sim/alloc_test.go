@@ -141,6 +141,38 @@ func TestSpawnAllocs(t *testing.T) {
 	}
 }
 
+// sleeper is a fan-out child that sleeps for its own duration.
+type sleeper Time
+
+func (d *sleeper) Handle(q *Proc) { q.Sleep(Time(*d)) }
+
+// TestFanAllocFree pins that an 8-child fan-out plus Wait allocates
+// nothing once the kernel's carriers and fan records are warm: the
+// children run on carrier-embedded procs and the record is reused.
+func TestFanAllocFree(t *testing.T) {
+	k := New(1)
+	var kids [8]sleeper
+	for i := range kids {
+		kids[i] = sleeper(Time(1+i%3) * time.Microsecond)
+	}
+	var avg float64
+	k.Spawn("parent", func(p *Proc) {
+		avg = testing.AllocsPerRun(1000, func() {
+			f := p.Fan()
+			for i := range kids {
+				f.Go("kid", &kids[i])
+			}
+			f.Wait()
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Fatalf("an 8-child fan-out allocated %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestContendedSemaphoreAllocFree pins that blocking on a semaphore and
 // being handed it by Release allocates nothing: the blocking reason is
 // built when the semaphore is, and the wait queue's storage is reused.

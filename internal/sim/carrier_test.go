@@ -51,11 +51,37 @@ func domainedPoolRun(seed int64, clients int) string {
 	return fmt.Sprintf("%v/%v", k.Now(), sum)
 }
 
+// fanPoolRun runs one simulation in which each of parents procs does
+// fans fan-outs of 8 children that sleep.
+func fanPoolRun(seed int64, parents, fans int) {
+	k := New(seed)
+	var kids [8]sleeper
+	for i := range kids {
+		kids[i] = sleeper(Time(1+i%3) * time.Microsecond)
+	}
+	for i := 0; i < parents; i++ {
+		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for j := 0; j < fans; j++ {
+				f := p.Fan()
+				for c := range kids {
+					f.Go("kid", &kids[c])
+				}
+				f.Wait()
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+}
+
 // TestCarrierPoolBounded pins that finished simulations leave no
 // goroutines behind beyond the pooled carriers: sequential runs reuse the
 // process-wide idle list, so its size is bounded by the peak number of
 // procs alive at once, not by the number of runs (domained runs used to
-// leak their message-delivery goroutines on every run).
+// leak their message-delivery goroutines on every run). Fan-outs run
+// their children on pooled carriers too: 20000 of them, 8 children each,
+// stay within the same bound.
 func TestCarrierPoolBounded(t *testing.T) {
 	const procs, clients, slack = 64, 8, 8
 	before := runtime.NumGoroutine()
@@ -65,12 +91,15 @@ func TestCarrierPoolBounded(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		domainedPoolRun(int64(i), clients)
 	}
+	for i := 0; i < 10; i++ {
+		fanPoolRun(int64(i), 4, 500)
+	}
 	// Window workers exit just after the group's barrier; let them go.
 	for i := 0; i < 100 && runtime.NumGoroutine() > before+procs+slack; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before+procs+slack {
-		t.Fatalf("%d goroutines after 250 runs, started with %d; want at most %d more",
+		t.Fatalf("%d goroutines after 260 runs, started with %d; want at most %d more",
 			got, before, procs+slack)
 	}
 }

@@ -25,7 +25,10 @@
 // scheduler, and carriers are reused across processes, kernels and runs;
 // and a process whose wake-up would be the next event anyway (a Sleep with
 // no earlier pending event) simply advances the clock and keeps running —
-// no heap traffic and no switch at all.
+// no heap traffic and no switch at all. A fork/join fan-out (Proc.Fan)
+// runs its children on carrier-embedded procs and recycles its record,
+// so it allocates nothing while scheduling exactly what a Spawn + Join
+// loop would.
 package sim
 
 import (
@@ -144,6 +147,9 @@ type Kernel struct {
 	// the kernel touches it, so it needs no lock; a terminating run hands
 	// it to the process-wide idle list.
 	free []*carrier
+	// fans holds this kernel's idle fan-out records (Proc.Fan), touched
+	// only by the goroutine running the kernel, like free.
+	fans []*Fan
 }
 
 // New returns a kernel whose random source is seeded with seed.
@@ -337,13 +343,17 @@ type carrier struct {
 	yield func(struct{}) bool
 	p     *Proc         // proc currently bound to the carrier
 	fn    func(p *Proc) // p's body
-	msg   Proc          // reusable proc for cross-domain message delivery
+	msg   Proc          // reusable proc for message delivery and fan-out children
 	// h, caller and reply are the pending Call request msg serves (see
 	// serveCall). They live here rather than on Proc so that every
 	// other proc stays one allocation size class smaller.
 	h      Handler
 	caller *Proc
 	reply  Time
+	// fan and kid identify the fan-out msg runs as child kid of, while
+	// it runs (see Fan.Go).
+	fan *Fan
+	kid int
 }
 
 // idle holds carriers released by terminated runs, shared by all kernels.
@@ -524,12 +534,16 @@ func (p *Proc) Join(q *Proc) {
 }
 
 // blockReason describes why p is blocked, for deadlock reports: its
-// blocking reason, with a Join naming the proc it waits for.
+// blocking reason, with a Join or a Fan.Wait naming the proc it waits
+// for.
 func (p *Proc) blockReason() string {
 	if p.blockedOn != joinReason {
 		return p.blockedOn
 	}
 	for _, q := range p.k.procs {
+		if f := q.c.fan; f != nil && f.p == p && f.wait >= 0 && f.kids[f.wait] == q {
+			return joinReason + ":" + q.name
+		}
 		for _, w := range q.waiters {
 			if w == p {
 				return joinReason + ":" + q.name
@@ -537,6 +551,83 @@ func (p *Proc) blockReason() string {
 		}
 	}
 	return joinReason
+}
+
+// Fan is a fork/join fan-out that allocates nothing in steady state:
+// the proc that took it from Proc.Fan starts children with Go, then
+// blocks in Wait until all of them have finished. It schedules exactly
+// what a loop of Spawn calls followed by a loop of Joins would: each
+// child draws the proc ID and event sequence number Spawn would, and
+// Wait waits for the children in spawn order. Children run on the Proc
+// embedded in a pooled carrier, like delivered messages (spawnMsgAt),
+// and never escape to callers, so their reuse cannot confuse a Join;
+// the record returns to its kernel when Wait does. A Fan serves one
+// fan-out: Go any number of times, then Wait once.
+type Fan struct {
+	p *Proc
+	// kids holds each child's proc while it runs, nil once it finished.
+	kids []*Proc
+	// wait is the index of the child p is blocked on in Wait, or -1.
+	wait int
+}
+
+// Fan returns an idle fan-out record of p's kernel, bound to p.
+func (p *Proc) Fan() *Fan {
+	k := p.k
+	var f *Fan
+	if n := len(k.fans); n > 0 {
+		f = k.fans[n-1]
+		k.fans[n-1] = nil
+		k.fans = k.fans[:n-1]
+	} else {
+		f = new(Fan)
+	}
+	f.p, f.wait = p, -1
+	return f
+}
+
+// Go starts h as a child process named name, scheduled at the current
+// virtual time.
+func (f *Fan) Go(name string, h Handler) {
+	k := f.p.k
+	c := k.carrier()
+	c.msg = Proc{k: k, name: name}
+	c.h, c.fan, c.kid = h, f, len(f.kids)
+	f.kids = append(f.kids, &c.msg)
+	k.start(c, &c.msg, serveFan)
+	k.schedule(&c.msg, k.now)
+}
+
+// Wait blocks until every child started with Go has finished, then
+// returns the record to its kernel.
+func (f *Fan) Wait() {
+	p := f.p
+	for i := range f.kids {
+		if f.kids[i] != nil {
+			f.wait = i
+			p.block(joinReason)
+		}
+	}
+	f.kids = f.kids[:0]
+	f.p = nil
+	p.k.fans = append(p.k.fans, f)
+}
+
+// serveFan is the body of a fan-out child: it runs the handler, then
+// wakes the parent if Wait is blocked on this child — the wake-up a
+// Join waiter gets when the joined proc exits.
+func serveFan(q *Proc) {
+	c := q.c
+	h := c.h
+	c.h = nil // the carrier goes back to a pool
+	h.Handle(q)
+	f, i := c.fan, c.kid
+	c.fan = nil
+	f.kids[i] = nil
+	if f.wait == i {
+		f.wait = -1
+		q.k.wake(f.p)
+	}
 }
 
 // DeadlockError reports the simulation stopping with live, blocked

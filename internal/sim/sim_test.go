@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -283,6 +284,90 @@ func TestDeadlockNamesPrimitive(t *testing.T) {
 	for _, want := range []string{"parent (join:child)", "child (sem:stuck)"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("deadlock report %q does not contain %q", msg, want)
+		}
+	}
+}
+
+// TestDeadlockNamesFanChild checks that a parent blocked in Fan.Wait is
+// reported as joining the child it awaits, as a Join would be.
+func TestDeadlockNamesFanChild(t *testing.T) {
+	k := New(1)
+	sem := NewSemaphore(k, "stuck", 0)
+	k.Spawn("parent", func(p *Proc) {
+		f := p.Fan()
+		f.Go("quick", HandlerFunc(func(q *Proc) { q.Sleep(time.Microsecond) }))
+		f.Go("revoke", HandlerFunc(func(q *Proc) { sem.Acquire(q, 1) }))
+		f.Wait()
+	})
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	msg := de.Error()
+	for _, want := range []string{"parent (join:revoke)", "revoke (sem:stuck)"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("deadlock report %q does not contain %q", msg, want)
+		}
+	}
+}
+
+// fanTrace runs parents that each fan out children of random widths and
+// sleeps, next to bystanders whose sleeps tie with them, and returns
+// every wake-up as (proc, id, time) plus the events dispatched. With
+// fan false the parents use a Spawn + Join loop instead of a Fan.
+func fanTrace(seed int64, fan bool) string {
+	k := New(seed)
+	var b strings.Builder
+	note := func(p *Proc) { fmt.Fprintf(&b, "%s#%d@%v ", p.Name(), p.ID(), p.Now()) }
+	for i := 0; i < 3; i++ {
+		k.Spawn(fmt.Sprintf("parent%d", i), func(p *Proc) {
+			rng := p.Kernel().Rand()
+			for round := 0; round < 6; round++ {
+				n := rng.Intn(6)
+				ds := make([]Time, n)
+				for j := range ds {
+					ds[j] = Time(rng.Intn(4)) * time.Microsecond
+				}
+				if fan {
+					f := p.Fan()
+					for _, d := range ds {
+						f.Go("kid", HandlerFunc(func(q *Proc) { q.Sleep(d); note(q) }))
+					}
+					f.Wait()
+				} else {
+					var qs []*Proc
+					for _, d := range ds {
+						qs = append(qs, p.Spawn("kid", func(q *Proc) { q.Sleep(d); note(q) }))
+					}
+					for _, q := range qs {
+						p.Join(q)
+					}
+				}
+				note(p)
+			}
+		})
+		k.Spawn(fmt.Sprintf("bystander%d", i), func(p *Proc) {
+			for j := 0; j < 10; j++ {
+				p.Sleep(time.Microsecond)
+				note(p)
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+	fmt.Fprintf(&b, "dispatched=%d", k.Dispatched())
+	return b.String()
+}
+
+// TestFanMatchesSpawnJoin pins that a Fan schedules exactly what the
+// Spawn + Join loop it replaces does: the same proc IDs, the same wake-up
+// order and times, and the same number of events.
+func TestFanMatchesSpawnJoin(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		if got, want := fanTrace(seed, true), fanTrace(seed, false); got != want {
+			t.Fatalf("seed %d: fan schedule\n%s\nSpawn + Join schedule\n%s", seed, got, want)
 		}
 	}
 }
